@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .material import ForceLaw
 
@@ -169,10 +168,17 @@ def _advance(eq: EffectiveEquation, sign: float, u: float, P: float,
     if before == 0 or after == 0 or (before > 0) == (after > 0):
         return u_new, P_new
 
-    def gap(theta):
-        return _rk4_step(eq, sign, u, P, theta)[0] - c
-
-    theta = brentq(gap, 0.0, h, xtol=1e-15)
+    # Bisection on the substep length; the relative term keeps the width
+    # above two ulps of h, so the loop ends for any step size.
+    lo, hi = 0.0, h
+    width = 1e-15 + 4 * np.finfo(float).eps * h
+    while hi - lo > width:
+        theta = (lo + hi) / 2
+        if (_rk4_step(eq, sign, u, P, theta)[0] > c) == (before > 0):
+            lo = theta
+        else:
+            hi = theta
+    theta = (lo + hi) / 2
     u_mid, P_mid = _rk4_step(eq, sign, u, P, theta)
     return _rk4_step(eq, sign, u_mid, P_mid, h - theta)
 
@@ -192,14 +198,13 @@ def trace_curve(eq: EffectiveEquation, s_max: float,
         raise ValueError(f"h must be positive, got {h}")
     if sign is None:
         sign = orientation(eq)
-    u, P, s = 0.0, 0.0, 0.0
-    rows = [(s, u, P, abs(eq.residual(u, P)))]
+    u, P = 0.0, 0.0
+    rows = [(0.0, u, P, abs(eq.residual(u, P)))]
     limit = OVERSHOOT_FACTOR * eq.law.u_cut
     steps = int(round(s_max / h))
-    for _ in range(steps):
+    for k in range(1, steps + 1):
         u, P = _advance(eq, sign, u, P, h)
-        s += h
-        rows.append((s, u, P, abs(eq.residual(u, P))))
+        rows.append((k * h, u, P, abs(eq.residual(u, P))))
         if u > limit:
             break
     return BifurcationCurve(samples=np.array(rows), h=h, tag=tag)
@@ -244,7 +249,8 @@ def lipschitz_bound(eq: EffectiveEquation, eq_hat: EffectiveEquation,
         growth = math.exp(lconst * s_max)
     except OverflowError:
         growth = math.inf
-    bound = lconst * delta * growth
+    # Identical coefficients give identical curves; skip 0 * inf = nan.
+    bound = lconst * delta * growth if delta else 0.0
     derivation = (
         f"max|F''| on [0, {OVERSHOOT_FACTOR} u_cut] = 4 kappa3 / u_cut = "
         f"{f2_max:.6g}; eta_min = {eta_min:.6g}; "

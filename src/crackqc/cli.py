@@ -72,8 +72,12 @@ def _param_options(func):
 
 
 def _validated(k1, k2, k3, ucut) -> MaterialParams:
+    """The one parameter gate: every command needs the characteristic roots,
+    so a parameter set without them exits 2 here."""
     try:
-        return validate(k1, k2, k3, ucut)
+        params = validate(k1, k2, k3, ucut)
+        characteristic_roots(params)
+        return params
     except ParameterError as exc:
         click.echo(f"invalid parameters [{exc.code}]: {exc}", err=True)
         sys.exit(2)
@@ -83,12 +87,6 @@ def _models(name: str):
     if name == "all":
         return [ModelKind.EXACT, ModelKind.QC, ModelKind.QQC, ModelKind.FQC]
     return [ModelKind(name)]
-
-
-def _coefficients(params, model, n, m):
-    if model is ModelKind.EXACT:
-        return eff.exact_coefficients(params, n)
-    return eff.coefficients(params, model, n, m)
 
 
 def _fmt(x: float) -> str:
@@ -136,7 +134,7 @@ def cmd_coefficients(k1, k2, k3, ucut, m, n, jmax, model, oracle, as_json):
                   "models": {}}
         worst = 0.0
         for kind in _models(model):
-            coefs = _coefficients(params, kind, n, m)
+            coefs = eff.coefficients(params, kind, n, m)
             entry = {"kappa": coefs.kappa, "eta": coefs.eta}
             try:
                 recs = eff.expansions(params, kind, n,
@@ -228,7 +226,7 @@ def cmd_trace(k1, k2, k3, ucut, m, n, model, smax, step, out):
     try:
         law = force_law(params)
         for kind in kinds:
-            coefs = _coefficients(params, kind, n, m)
+            coefs = eff.coefficients(params, kind, n, m)
             eq = bif.EffectiveEquation(law, coefs.kappa, coefs.eta)
             curve = bif.trace_curve(eq, smax, step, tag=kind.value)
             if out is None:
@@ -257,7 +255,7 @@ def cmd_folds(k1, k2, k3, ucut, m, n, model, as_json):
     report = {}
     try:
         for kind in _models(model):
-            coefs = _coefficients(params, kind, n, m)
+            coefs = eff.coefficients(params, kind, n, m)
             eq = bif.EffectiveEquation(law, coefs.kappa, coefs.eta)
             report[kind.value] = [
                 {"u": f.u_star, "P": f.P_star, "degenerate": f.degenerate}
@@ -289,8 +287,8 @@ def cmd_compare(k1, k2, k3, ucut, m, n, model, smax, step, as_json):
     params = _validated(k1, k2, k3, ucut)
     law = force_law(params)
     try:
-        base = _coefficients(params, ModelKind.EXACT, n, m)
-        other = _coefficients(params, ModelKind(model), n, m)
+        base = eff.coefficients(params, ModelKind.EXACT, n, m)
+        other = eff.coefficients(params, ModelKind(model), n, m)
         eq_a = bif.EffectiveEquation(law, base.kappa, base.eta)
         eq_b = bif.EffectiveEquation(law, other.kappa, other.eta)
         sup, _ = bif.compare_curves(bif.trace_curve(eq_a, smax, step),
@@ -375,7 +373,8 @@ def _suite_identities(params, rng):
     import mpmath as mp
     from .kernels import crisscross_direct
     from .material import crack_region_root
-    with mp.workdps(200):
+    # Up to n = 50 the subtraction cancels 100 log10(1/|z0|) digits.
+    with mp.workdps(int(100 * math.log10(1 / abs(roots.z0))) + 30):
         pm = validate(mp.mpf(repr(params.kappa1)), mp.mpf(repr(params.kappa2)),
                       mp.mpf(repr(params.kappa3)), mp.mpf(repr(params.u_cut)))
         kerm = HyperbolicKernel(crack_region_root(pm))

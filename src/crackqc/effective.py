@@ -64,6 +64,19 @@ class ModelKind(enum.Enum):
         return self is not ModelKind.FQC
 
 
+# Smallest interface index per approximation; each also needs m < n.
+MIN_INTERFACE = {ModelKind.QC: 3, ModelKind.QQC: 2, ModelKind.FQC: 1}
+
+
+def check_interface(model: ModelKind, m: Optional[int], n: int):
+    """Raise ValueError unless MIN_INTERFACE[model] <= m < n."""
+    if m is None:
+        raise ValueError(f"{model.value} requires an interface index m")
+    if not (MIN_INTERFACE[model] <= m < n):
+        raise ValueError(f"{model.name} requires {MIN_INTERFACE[model]} "
+                         f"<= m < n, got m={m}, n={n}")
+
+
 @dataclass(frozen=True)
 class EffectiveCoefficients:
     model: ModelKind
@@ -193,11 +206,6 @@ def qc_gamma(params: MaterialParams):
     return params.kappa_bar / (params.kappa_bar + params.kappa2 / 2)
 
 
-def _check_qc_indices(m: int, n: int):
-    if not (3 <= m < n):
-        raise ValueError(f"QC requires 3 <= m < n, got m={m}, n={n}")
-
-
 def qc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoefficients:
     """(kappa, eta) of the energy-based QC model by interface elimination.
 
@@ -206,7 +214,7 @@ def qc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoeffici
     first interface equation; the second interface equation is exhausted by
     b = -P / kappa_bar.  Matches the lattice oracle to machine precision.
     """
-    _check_qc_indices(m, n)
+    check_interface(ModelKind.QC, m, n)
     ctx = _Context(params)
     k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
     ker = ctx.kernel
@@ -265,7 +273,7 @@ def qc_coefficients_qmatrix(params: MaterialParams, m: int, n: int):
     drops a next-nearest interface term), so `qc_coefficients` is the
     primary path.
     """
-    _check_qc_indices(m, n)
+    check_interface(ModelKind.QC, m, n)
     ctx = _Context(params)
     k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
     ker = ctx.kernel
@@ -324,8 +332,7 @@ def qc_limit_tanh(params: MaterialParams):
 
 def qqc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoefficients:
     """(kappa, eta) of the quasi-nonlocal coupling at shift k = n - m + 1."""
-    if not (2 <= m < n):
-        raise ValueError(f"QQC requires 2 <= m < n, got m={m}, n={n}")
+    check_interface(ModelKind.QQC, m, n)
     ctx = _Context(params)
     k1, k2 = params.kappa1, params.kappa2
     ker = ctx.kernel
@@ -375,8 +382,7 @@ def fqc_coefficients(params: MaterialParams, m: int, n: int,
     factor in the compact form.  Both variants are diagnostics: they are
     mutually inconsistent with the long form and with the oracle.
     """
-    if not (1 <= m < n):
-        raise ValueError(f"FQC requires 1 <= m < n, got m={m}, n={n}")
+    check_interface(ModelKind.FQC, m, n)
     ctx = _Context(params)
     k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
     ker = ctx.kernel
@@ -449,8 +455,6 @@ def coefficients(params: MaterialParams, model: ModelKind,
     """Dispatch to the per-model coefficient formula."""
     if model is ModelKind.EXACT:
         return exact_coefficients(params, n)
-    if m is None:
-        raise ValueError(f"{model.value} requires an interface index m")
     if model is ModelKind.QC:
         return qc_coefficients(params, m, n)
     if model is ModelKind.QQC:

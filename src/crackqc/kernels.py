@@ -67,10 +67,6 @@ class HyperbolicKernel:
         value = (grow - 1 / grow) / 2
         return value if k >= 0 else -value
 
-    def cosh_sinh(self, k: int):
-        """(C(k), S(k), Chat(k), Shat(k)) with the unscaled pair guarded."""
-        return self.cosh(k), self.sinh(k), self.chat(k), self.shat(k)
-
     # Scaled kernels: valid for every integer index of either sign (values
     # grow as z0^(2k) only for k < 0, which callers keep small).
 
@@ -113,11 +109,6 @@ class HyperbolicKernel:
         """(A_rho, B_rho) with A_rho = (1-rho)(cosh delta - 1),
         B_rho = (1+rho) sinh delta; (F_{k,rho}, G_{k,rho}) = (A, B) K_k."""
         return (1 - rho) * (self.c1 - 1), (1 + rho) * self.s1
-
-    def khat(self, n: int):
-        """Scaled transfer matrix z0^n K_n as a row-major 2x2 tuple."""
-        c, s = self.chat(n), self.shat(n)
-        return ((c, s), (s, c))
 
     def det_kn(self, n: int):
         """det K_n evaluated through its exponential factorization.

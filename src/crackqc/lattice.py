@@ -12,11 +12,16 @@ lists.  The two constructions are checked against each other by the
 finite-difference gradient tests, which is why neither is generated from
 the other here.
 
-`oracle_coefficients` extracts (kappa, eta) by pure linear algebra: delete
-the tip row, prescribe u_n, solve the remaining linear system for the unit
-responses to u_n and P, and evaluate the tip-row stencil on each response.
-It never touches the closed-form kernels, so it is an independent oracle
-for everything in `effective`.
+Every stencil, interface row and closure row stays within two sites of the
+diagonal, so the chain matrix A is held in one format throughout: the
+(2 KL + KU + 1, N) band array that LAPACK `dgbtrf` factors, with
+A[i, j] at ab[KL + KU + i - j, j] and the top KL rows left free for the LU
+fill.  `band_matvec` multiplies by it and `_factorize` factors it.
+
+`oracle_coefficients` extracts (kappa, eta) by pure linear algebra on the
+same factorization (a Schur complement onto the tip unknown).  It never
+touches the closed-form kernels, so it is an independent oracle for
+everything in `effective`.
 """
 
 from __future__ import annotations
@@ -26,10 +31,9 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csc_matrix, lil_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .effective import EffectiveCoefficients, ModelKind
+from .effective import EffectiveCoefficients, ModelKind, check_interface
 from .kernels import HyperbolicKernel
 from .material import (MaterialParams, bonded_region_roots,
                        characteristic_roots, force_law)
@@ -40,6 +44,8 @@ MAX_HALVINGS = 20
 TAIL_DECAY_TARGET = 1e-14
 TAIL_MIN = 30
 TAIL_MAX = 400
+KL = KU = 2
+DIAG = KL + KU
 
 
 class SingularJacobianError(RuntimeError):
@@ -100,17 +106,7 @@ def chain_config(params: MaterialParams, model: ModelKind, n: int,
             raise ValueError(f"exact assembly requires n >= 2, got n={n}")
         m = None
     else:
-        if m is None:
-            raise ValueError(f"{model.value} requires an interface index m")
-        if model is ModelKind.QC and not (3 <= m and m + 2 <= n):
-            raise ValueError(
-                f"QC assembly requires 3 <= m and n >= m + 2, got m={m}, n={n}")
-        if model is ModelKind.QQC and not (2 <= m < n):
-            raise ValueError(
-                f"QQC assembly requires 2 <= m < n, got m={m}, n={n}")
-        if model is ModelKind.FQC and not (1 <= m < n):
-            raise ValueError(
-                f"FQC assembly requires 1 <= m < n, got m={m}, n={n}")
+        check_interface(model, m, n)
     if j_max is None:
         j_max = n + default_tail(params)
     if j_max < n + 5:
@@ -138,31 +134,39 @@ class ReconstructionCoefficients:
     seed: Tuple[float, float]
 
 
-def _closure_rows(config: ChainConfig, a_mat: lil_matrix):
+def _closure_rows(config: ChainConfig, ab: np.ndarray):
     """Bonded-recursion closure in the last row(s)."""
     params = config.params
     jm = config.j_max
     if params.kappa2 == 0:
         zeta = _kappa2_zero_root(params)
-        a_mat[jm, jm] = 1.0
-        a_mat[jm, jm - 1] = -zeta
+        _add(ab, jm, [(jm, 1.0), (jm - 1, -zeta)])
         return
     roots = characteristic_roots(params)
     for j in (jm - 1, jm):
-        a_mat[j, j] = 1.0
-        a_mat[j, j - 1] = -roots.beta
-        a_mat[j, j - 2] = -roots.alpha
+        _add(ab, j, [(j, 1.0), (j - 1, -roots.beta), (j - 2, -roots.alpha)])
 
 
-def _add(a_mat: lil_matrix, row: int, entries):
+def _add(ab: np.ndarray, row: int, entries):
     for col, val in entries:
-        a_mat[row, col] += val
+        ab[DIAG + row - col, col] += val
+
+
+def band_matvec(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A u for the chain matrix A held in the band array `ab`."""
+    size = len(u)
+    out = ab[DIAG] * u
+    for d in range(1, KL + 1):
+        out[d:] += ab[DIAG + d, :size - d] * u[:size - d]
+        out[:size - d] += ab[DIAG - d, d:] * u[d:]
+    return out
 
 
 def linear_system(config: ChainConfig):
-    """(A, p) with residual = A u + p P + F(u_n) e_n for the config's model.
+    """(ab, p) with residual = A u + p P + F(u_n) e_n for the config's model.
 
-    Every row is the model's equilibrium equation at that site; the tip
+    A is returned as its band array `ab` (see the module docstring).  Every
+    row is the model's equilibrium equation at that site; the tip
     nonlinearity is excluded (callers add F(u_n) to row n themselves).
     """
     params = config.params
@@ -170,7 +174,7 @@ def linear_system(config: ChainConfig):
                         params.kappa_bar, params.kappa3)
     n, m, jm = config.n, config.m, config.j_max
     size = jm + 1
-    a_mat = lil_matrix((size, size))
+    a_mat = np.zeros((2 * KL + KU + 1, size))
     p_vec = np.zeros(size)
 
     def la_row(j):
@@ -219,9 +223,9 @@ def linear_system(config: ChainConfig):
     bonded_stop = jm - 1 if params.kappa2 == 0 else jm - 2
     for j in range(n + 1, bonded_stop + 1):
         la_row(j)
-        a_mat[j, j] += -2 * k3
+        _add(a_mat, j, [(j, -2 * k3)])
     _closure_rows(config, a_mat)
-    return csc_matrix(a_mat), p_vec
+    return a_mat, p_vec
 
 
 def assemble_residual(config: ChainConfig,
@@ -232,7 +236,7 @@ def assemble_residual(config: ChainConfig,
         raise ValueError(
             f"field length {u.shape[0]} does not match j_max={config.j_max}")
     a_mat, p_vec = linear_system(config)
-    residual = a_mat @ u + p_vec * field.P
+    residual = band_matvec(a_mat, u) + p_vec * field.P
     residual[config.n] += force_law(config.params).force(u[config.n])
     return residual
 
@@ -287,17 +291,17 @@ def assemble_energy(config: ChainConfig, field: DisplacementField) -> float:
     return total
 
 
-def _factorize(matrix: csc_matrix):
-    try:
-        lu = splu(matrix)
-    except RuntimeError as exc:
-        raise SingularJacobianError(-1, 0.0) from exc
-    diag = np.abs(lu.U.diagonal())
+def _factorize(ab: np.ndarray):
+    """Banded LU of A as a solve function; raises at a (near-)zero pivot."""
+    lu, piv, info = dgbtrf(ab, KL, KU)
+    if info > 0:
+        raise SingularJacobianError(info - 1, 0.0)
+    diag = np.abs(lu[DIAG])
     scale = diag.max()
     worst = int(np.argmin(diag))
     if diag[worst] <= 1e-13 * scale:
         raise SingularJacobianError(worst, float(diag[worst]))
-    return lu
+    return lambda rhs: dgbtrs(lu, KL, KU, rhs, piv)[0]
 
 
 def newton_solve(config: ChainConfig, P: float,
@@ -323,7 +327,7 @@ def newton_solve(config: ChainConfig, P: float,
     history = []
 
     def residual_of(vec):
-        r = a_mat @ vec + p_vec * P
+        r = band_matvec(a_mat, vec) + p_vec * P
         r[n] += law.force(vec[n])
         return r
 
@@ -334,10 +338,9 @@ def newton_solve(config: ChainConfig, P: float,
         if norm <= tol:
             field = DisplacementField(u=u, P=P)
             return (field, history) if return_history else field
-        jac = a_mat.tolil(copy=True)
-        jac[n, n] += law.force_derivative(u[n])
-        lu = _factorize(csc_matrix(jac))
-        step = lu.solve(-residual)
+        jac = a_mat.copy()
+        jac[DIAG, n] += law.force_derivative(u[n])
+        step = _factorize(jac)(-residual)
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             trial = u + scale * step
@@ -359,28 +362,20 @@ def newton_solve(config: ChainConfig, P: float,
 def oracle_coefficients(config: ChainConfig) -> EffectiveCoefficients:
     """(kappa, eta) extracted from the assembled chain by linear algebra.
 
-    Deletes the tip row, prescribes u_n, solves the remaining system for the
-    unit responses to (u_n = 1, P = 0) and (u_n = 0, P = 1), and evaluates
-    the tip-row stencil on each response: the tip equation then reads
-    F(u_n) + kappa u_n + eta P = 0 by linearity.
+    Equilibrium A u + p P + F(u_n) e_n = 0 gives u = -A^-1 (p P + F e_n),
+    so u_n = -(g F + h P) with g = (A^-1 e_n)_n and h = (A^-1 p)_n: the tip
+    equation reads F(u_n) + kappa u_n + eta P = 0 with kappa = 1/g and
+    eta = h/g.  Both columns come from one solve on one factorization of A,
+    which is singular only where kappa = 0.
     """
     a_mat, p_vec = linear_system(config)
     n = config.n
-    tip_row = a_mat[n, :].toarray().ravel()
-    reduced = a_mat.tolil(copy=True)
-    reduced[n, :] = 0.0
-    reduced[n, n] = 1.0
-    lu = _factorize(csc_matrix(reduced))
-
-    rhs_u = np.zeros(config.j_max + 1)
-    rhs_u[n] = 1.0
-    resp_u = lu.solve(rhs_u)
-    rhs_p = -p_vec.copy()
-    rhs_p[n] = 0.0
-    resp_p = lu.solve(rhs_p)
-    kappa = float(tip_row @ resp_u)
-    eta = float(tip_row @ resp_p + p_vec[n])
-    return EffectiveCoefficients(config.model, kappa, eta, n, config.m)
+    rhs = np.zeros((config.j_max + 1, 2))
+    rhs[n, 0] = 1.0
+    rhs[:, 1] = p_vec
+    g, h = _factorize(a_mat)(rhs)[n]
+    return EffectiveCoefficients(config.model, float(1 / g), float(h / g),
+                                 n, config.m)
 
 
 def reconstruct_solution(params: MaterialParams, n: int, u_n: float, P: float,

@@ -134,6 +134,21 @@ class TestTrace:
         folds = fold_points(exact_eq)
         assert p_max == pytest.approx(max(f.P_star for f in folds), abs=1e-3)
 
+    def test_arc_length_column_is_index_times_step(self, exact_eq):
+        curve = trace_curve(exact_eq, 4.0, 1e-3)
+        s = curve.samples[:, 0]
+        assert np.array_equal(s, np.arange(len(s)) * 1e-3)
+
+    def test_kink_split_ends_for_long_steps(self, exact_eq):
+        # With eta = 0.1 the single step of length 48 crosses u_cut at
+        # s ~ 35, where one ulp exceeds 1e-15: the bisection must still
+        # stop.
+        eq = EffectiveEquation(exact_eq.law, exact_eq.kappa, 0.1)
+        curve = trace_curve(eq, 48.0, 48.0)
+        assert curve.samples.shape == (2, 4)
+        assert np.all(np.isfinite(curve.samples))
+        assert curve.samples[-1, 1] > eq.law.u_cut
+
     def test_zero_length_gives_single_row(self, exact_eq):
         curve = trace_curve(exact_eq, 0.0)
         assert curve.samples.shape == (1, 4)
@@ -194,6 +209,11 @@ class TestCompare:
         assert sup <= bound
         assert "exp" in derivation and "eta_min" in derivation
         assert series.shape[1] == 2
+
+    def test_bound_is_zero_for_identical_equations(self, exact_eq):
+        # exp(L s_max) overflows here; equal coefficients still bound 0.
+        bound, _ = lipschitz_bound(exact_eq, exact_eq, 50.0)
+        assert bound == 0.0
 
     def test_bound_rejects_negative_length(self, exact_eq):
         with pytest.raises(ValueError):

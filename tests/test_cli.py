@@ -22,6 +22,11 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--k1", "-3"])
         assert result.exit_code == 2
         assert "kappa1" in result.output
+        # kappa2 = 0 passes `validate` but leaves no crack-region root.
+        for command in ("validate", "limits"):
+            result = runner.invoke(main, [command, "--k2", "0"])
+            assert result.exit_code == 2, command
+            assert "invalid parameters [kappa2]" in result.output, command
 
     def test_oscillatory_regime_exits_2(self, runner):
         result = runner.invoke(main, ["validate", "--k2", "-0.5"])
@@ -160,6 +165,14 @@ class TestCheck:
         for name in ("identities", "energy-force", "oracle-equivalence",
                      "expansion-orders"):
             assert f"{name}: PASS" in result.output
+
+    def test_small_kappa2_ratio_passes(self, runner):
+        # At k2/k1 = 0.01 the criss-cross check cancels ~201 digits, more
+        # than a fixed 200-digit working precision holds.
+        result = runner.invoke(main, ["check", "--k1", "4", "--k2", "0.04",
+                                      "--k3", "20"])
+        assert result.exit_code == 0
+        assert "identities: PASS" in result.output
 
     def test_seed_determinism(self, runner):
         a = runner.invoke(main, ["check", "--seed", "7"])

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crackqc
 from crackqc import effective as eff
+from crackqc import kernels
 from crackqc import lattice as lat
 from crackqc.bifurcation import EffectiveEquation, fold_points
 from crackqc.effective import ModelKind
@@ -27,7 +34,7 @@ class TestConfig:
     @pytest.mark.parametrize("model,m,n", [
         (ModelKind.EXACT, None, 1),
         (ModelKind.QC, 2, 10),
-        (ModelKind.QC, 5, 6),
+        (ModelKind.QC, 6, 6),
         (ModelKind.QQC, 1, 10),
         (ModelKind.QQC, 10, 10),
         (ModelKind.FQC, 0, 10),
@@ -51,7 +58,8 @@ class TestLinearSystem:
             cfg = chain_config(params, kind, 16,
                                None if kind is ModelKind.EXACT else 10, 60)
             a_mat, _ = linear_system(cfg)
-            resid = a_mat @ np.arange(cfg.j_max + 1, dtype=float)
+            resid = lat.band_matvec(a_mat,
+                                    np.arange(cfg.j_max + 1, dtype=float))
             for j in range(2, cfg.n):
                 assert abs(resid[j]) < 1e-12, (kind, j)
 
@@ -60,6 +68,20 @@ class TestLinearSystem:
         _, p_vec = linear_system(cfg)
         assert np.count_nonzero(p_vec) > 0
         assert np.all(p_vec[cfg.n + 1:] == 0)
+
+
+def test_import_loads_no_sparse_or_optimize():
+    # A fresh interpreter, so modules imported by other tests do not count.
+    code = ("import sys, crackqc; "
+            "print([m for m in ('scipy.sparse', 'scipy.optimize') "
+            "if m in sys.modules])")
+    src = str(Path(crackqc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestEnergyForce:
@@ -110,6 +132,27 @@ class TestOracle:
         ref_kappa, ref_eta = self.REFERENCE[key]
         assert orc.kappa == pytest.approx(ref_kappa, abs=1e-10)
         assert orc.eta == pytest.approx(ref_eta, abs=1e-11)
+
+    def test_independent_of_closed_forms(self, params, monkeypatch):
+        # The oracle must keep working with every closed form and kernel
+        # unavailable, and still agree with the unpatched closed forms.
+        cases = [(ModelKind.EXACT, None), (ModelKind.QC, 100),
+                 (ModelKind.QQC, 100), (ModelKind.FQC, 96)]
+        expected = [eff.coefficients(params, kind, 104, m)
+                    for kind, m in cases]
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("oracle called a closed form")
+
+        for name in ("coefficients", "exact_coefficients", "qc_coefficients",
+                     "qqc_coefficients", "fqc_coefficients"):
+            monkeypatch.setattr(eff, name, unavailable)
+        monkeypatch.setattr(kernels, "HyperbolicKernel", unavailable)
+        monkeypatch.setattr(lat, "HyperbolicKernel", unavailable)
+        for (kind, m), form in zip(cases, expected):
+            orc = oracle_coefficients(chain_config(params, kind, 104, m))
+            assert orc.kappa == pytest.approx(form.kappa, rel=1e-12), kind
+            assert orc.eta == pytest.approx(form.eta, rel=1e-12), kind
 
     def test_kappa2_zero_supported(self, rng):
         # The closed forms need kappa2 != 0, but the assembled chain does
