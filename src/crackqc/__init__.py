@@ -16,7 +16,7 @@ from .effective import (CoefficientLimits, EffectiveCoefficients,
                         exact_coefficients, exact_expansions, exact_limits,
                         expansions, fqc_coefficients, fqc_expansions, limits,
                         qc_coefficients, qc_coefficients_qmatrix, qc_limit,
-                        qc_limit_tanh, qqc_coefficients, qqc_expansions)
+                        qqc_coefficients, qqc_expansions)
 from .lattice import (ChainConfig, ConvergenceError, DisplacementField,
                       SingularJacobianError, assemble_energy,
                       assemble_residual, chain_config, linear_system,
@@ -42,6 +42,6 @@ __all__ = [
     "fqc_coefficients", "fqc_expansions", "kernel_for", "limits",
     "linear_system", "lipschitz_bound", "newton_solve",
     "oracle_coefficients", "qc_coefficients", "qc_coefficients_qmatrix",
-    "qc_limit", "qc_limit_tanh", "qqc_coefficients", "qqc_expansions",
+    "qc_limit", "qqc_coefficients", "qqc_expansions",
     "reconstruct_solution", "solve_branches", "trace_curve", "validate",
 ]

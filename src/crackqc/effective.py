@@ -36,8 +36,8 @@ For FQC the load coefficient has two compact forms; the primary one is
     D = G_{n-m,alpha} - (1 + alpha) sinh delta,
 
 which agrees with the long product form and the oracle.  Variant readings
-(a product in the denominator, an extra sinh delta factor) are available
-behind diagnostics flags and are reported as inconsistent.
+(a product in the denominator, an extra sinh delta factor) disagree with
+both and are not implemented here.
 """
 
 from __future__ import annotations
@@ -306,26 +306,13 @@ def qc_limit(params: MaterialParams):
     infinity limit of `qc_coefficients_qmatrix`, and gap = eta0 - eta0_qc
     stays finite, so that closed form never recovers the exact load factor.
     A further simplification of the ratio through tanh[delta/2] circulates
-    in a form inconsistent with it; see `qc_limit_tanh`.
+    in a form inconsistent with it.
     """
     kbar = params.kappa_bar
     _, eta0 = exact_limits(params)
     (q11_, q12_), (q21_, q22_) = qc_matrix(params)[0]
     ratio = (q11_ + q21_) * kbar / (q12_ + q22_)
     return eta0 * ratio, eta0 * (1 - ratio)
-
-
-def qc_limit_tanh(params: MaterialParams):
-    """Diagnostic: the tanh[delta/2] form of eta0_qc, with tanh evaluated
-    as sinh delta / (cosh delta + 1) in real arithmetic.  It does not agree
-    with the ratio form that the coefficient formula actually approaches."""
-    k2, kbar = params.kappa2, params.kappa_bar
-    ker = HyperbolicKernel(characteristic_roots(params).z0)
-    _, eta0 = exact_limits(params)
-    gamma = qc_gamma(params)
-    t = ker.s1 / (ker.c1 + 1)
-    return eta0 * (4 + 3 * gamma * (t - 1)) / \
-        (2 - gamma + (gamma + 2 - 4 * k2 / kbar) * t)
 
 
 # Quasi-nonlocal QC.
@@ -370,17 +357,10 @@ def qqc_expansions(params: MaterialParams, m: int, n: int):
 
 # Force-based QC.
 
-def fqc_coefficients(params: MaterialParams, m: int, n: int,
-                     literal_sign: bool = False,
-                     literal_compact: bool = False):
+def fqc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoefficients:
     """(kappa, eta) of the force-based coupling at shift k = n - m.
 
     The shared denominator is D = G_{n-m,alpha} - (1 + alpha) sinh delta.
-    `literal_sign=True` instead evaluates eta's second long-form term with
-    the denominator read as the product G_{n-m,alpha} (1 + alpha) sinh delta
-    (no minus sign); `literal_compact=True` keeps the extra sinh delta
-    factor in the compact form.  Both variants are diagnostics: they are
-    mutually inconsistent with the long form and with the oracle.
     """
     check_interface(ModelKind.FQC, m, n)
     ctx = _Context(params)
@@ -395,14 +375,6 @@ def fqc_coefficients(params: MaterialParams, m: int, n: int,
     kappa = (ctx.abm1 * (k1 + k2 * (ctx.beta + 1) + k2 * gb / dhat)
              + ctx.abm1 * (kbar + (ctx.beta - 2) * k2) * s1 * zk / dhat)
     boost = 1 + (1 + ctx.alpha) * s1 * zk / dhat
-    if literal_sign:
-        eta = ((1 + (ctx.beta - 2) * k2 / kbar) * boost
-               + (k2 / kbar) * gb / (ga * s1))
-        return EffectiveCoefficients(ModelKind.FQC, kappa, eta, n, m)
-    if literal_compact:
-        eta = (1 - ctx.abm1 * s1 * ker.shat(k) / dhat
-               + (1 + ctx.alpha) * s1 * zk / dhat)
-        return EffectiveCoefficients(ModelKind.FQC, kappa, eta, n, m)
     eta = (1 - ctx.abm1 * ker.shat(k) / dhat
            + (1 + ctx.alpha) * s1 * zk / dhat)
     eta_long = ((1 + (ctx.beta - 2) * k2 / kbar) * boost

@@ -27,11 +27,10 @@ everything in `effective`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .effective import EffectiveCoefficients, ModelKind, check_interface
 from .kernels import HyperbolicKernel
@@ -152,6 +151,17 @@ def _add(ab: np.ndarray, row: int, entries):
         ab[DIAG + row - col, col] += val
 
 
+def _stencil(ab: np.ndarray, start: int, stop: int, stencil):
+    """Add the constant stencil {column offset: value} to rows start..stop-1.
+
+    One slice write per diagonal; columns past the last one are dropped,
+    which only ever drops zero kappa2 entries.
+    """
+    size = ab.shape[1]
+    for off, val in stencil.items():
+        ab[DIAG - off, start + off:min(stop + off, size)] += val
+
+
 def band_matvec(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A u for the chain matrix A held in the band array `ab`."""
     size = len(u)
@@ -177,13 +187,9 @@ def linear_system(config: ChainConfig):
     a_mat = np.zeros((2 * KL + KU + 1, size))
     p_vec = np.zeros(size)
 
-    def la_row(j):
-        _add(a_mat, j, [(j + 1, k1), (j, -2 * k1), (j - 1, k1)])
-        if k2 != 0:
-            _add(a_mat, j, [(j + 2, k2), (j, -2 * k2), (j - 2, k2)])
-
-    def cont_row(j):
-        _add(a_mat, j, [(j + 1, kbar), (j, -2 * kbar), (j - 1, kbar)])
+    continuum = {-1: kbar, 0: -2 * kbar, 1: kbar}
+    atomistic = {-2: k2, -1: k1, 0: -2 * k1 - 2 * k2, 1: k1, 2: k2}
+    bonded = {**atomistic, 0: -2 * k1 - 2 * k2 - 2 * k3}
 
     if config.model is ModelKind.EXACT:
         _add(a_mat, 0, [(1, k1), (0, -k1), (2, k2), (0, -k2)])
@@ -194,8 +200,7 @@ def linear_system(config: ChainConfig):
         _add(a_mat, 0, [(1, kbar), (0, -kbar)])
         p_vec[0] = 1.0
         if config.model is ModelKind.QC:
-            for j in range(1, m - 1):
-                cont_row(j)
+            _stencil(a_mat, 1, m - 1, continuum)
             _add(a_mat, m - 1, [(m - 2, kbar), (m - 1, -(2 * k1 + 17 * k2 / 2)),
                                 (m, kbar), (m + 1, k2 / 2)])
             _add(a_mat, m, [(m - 1, kbar), (m, -(2 * k1 + 5 * k2)),
@@ -205,8 +210,7 @@ def linear_system(config: ChainConfig):
                                 (m + 2, k1), (m + 3, k2)])
             atom_start = m + 2
         elif config.model is ModelKind.QQC:
-            for j in range(1, m - 1):
-                cont_row(j)
+            _stencil(a_mat, 1, m - 1, continuum)
             _add(a_mat, m - 1, [(m - 2, kbar), (m - 1, -kbar),
                                 (m, k1 + 2 * k2), (m - 1, -(k1 + 2 * k2)),
                                 (m + 1, k2), (m - 1, -k2)])
@@ -214,16 +218,12 @@ def linear_system(config: ChainConfig):
                             (m + 1, k1), (m, -k1), (m + 2, k2), (m, -k2)])
             atom_start = m + 1
         else:
-            for j in range(1, m + 1):
-                cont_row(j)
+            _stencil(a_mat, 1, m + 1, continuum)
             atom_start = m + 1
 
-    for j in range(atom_start, n + 1):
-        la_row(j)
+    _stencil(a_mat, atom_start, n + 1, atomistic)
     bonded_stop = jm - 1 if params.kappa2 == 0 else jm - 2
-    for j in range(n + 1, bonded_stop + 1):
-        la_row(j)
-        _add(a_mat, j, [(j, -2 * k3)])
+    _stencil(a_mat, n + 1, bonded_stop + 1, bonded)
     _closure_rows(config, a_mat)
     return a_mat, p_vec
 
@@ -293,6 +293,8 @@ def assemble_energy(config: ChainConfig, field: DisplacementField) -> float:
 
 def _factorize(ab: np.ndarray):
     """Banded LU of A as a solve function; raises at a (near-)zero pivot."""
+    # Imported here so that commands that never solve a chain skip scipy.
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
     lu, piv, info = dgbtrf(ab, KL, KU)
     if info > 0:
         raise SingularJacobianError(info - 1, 0.0)

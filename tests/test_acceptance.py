@@ -16,7 +16,7 @@ import pytest
 from crackqc import bifurcation as bif
 from crackqc import effective as eff
 from crackqc import lattice as lat
-from crackqc.cli import REFERENCE_TABLES
+from crackqc.checks import REFERENCE_TABLES, table_coefficients
 from crackqc.effective import ModelKind
 from crackqc.kernels import (HyperbolicKernel, crisscross_constant,
                              crisscross_direct, identity_rela, kernel_for)
@@ -35,21 +35,9 @@ def _report(capsys, num, title, ok, detail=""):
     return ok
 
 
-def _formula_pairs(params):
-    """The eight (model, m) -> (kappa, eta) pairs of the two tables."""
-    out = {}
-    for m in (100, 96):
-        out[(m, "exact")] = eff.exact_coefficients(params, N_REF)
-        # The tables' QC rows follow the interface-matrix closed form.
-        out[(m, "qc")] = eff.qc_coefficients_qmatrix(params, m, N_REF)[0]
-        out[(m, "qqc")] = eff.qqc_coefficients(params, m, N_REF)
-        out[(m, "fqc")] = eff.fqc_coefficients(params, m, N_REF)
-    return out
-
-
 def test_criterion_1_table_reproduction(params, capsys):
     start = time.perf_counter()
-    pairs = _formula_pairs(params)
+    pairs = table_coefficients(params)
     elapsed = time.perf_counter() - start
     worst = max(max(abs(pairs[key].kappa - ref[0]),
                     abs(pairs[key].eta - ref[1]))

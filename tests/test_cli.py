@@ -32,6 +32,29 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--k2", "-0.5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [["check", "--k2", "0"],
+                                      ["reproduce-tables", "--perturb-k1",
+                                       "-5"]])
+    def test_check_and_tables_exit_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "invalid parameters [" in result.output
+
+
+class TestInvalidIndices:
+    @pytest.mark.parametrize("command", [["coefficients"], ["folds"],
+                                         ["compare"],
+                                         ["trace", "--model", "qqc"]])
+    def test_interface_at_tip_exits_2(self, runner, command):
+        result = runner.invoke(main, command + ["--m", "104", "--n", "104"])
+        assert result.exit_code == 2
+        assert "error:" in result.output
+
+    def test_negative_arc_length_exits_2(self, runner):
+        result = runner.invoke(main, ["trace", "--smax", "-1"])
+        assert result.exit_code == 2
+        assert "error:" in result.output
+
 
 class TestCoefficients:
     def test_formula_oracle_agreement(self, runner):

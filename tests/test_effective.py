@@ -5,6 +5,7 @@ import pytest
 from crackqc import effective as eff
 from crackqc import lattice as lat
 from crackqc.effective import ModelKind
+from crackqc.kernels import HyperbolicKernel
 from crackqc.material import characteristic_roots, validate
 
 from conftest import random_params
@@ -87,12 +88,23 @@ class TestQC:
         interior = [j for j in range(2, n) if abs(j - m) > 1]
         assert max(abs(resid[j]) for j in interior) < 1e-12
 
+    @staticmethod
+    def _qc_limit_tanh(p):
+        """Misreading: eta0_qc through tanh[delta/2], with tanh evaluated
+        as sinh delta / (cosh delta + 1)."""
+        k2, kbar = p.kappa2, p.kappa_bar
+        ker = HyperbolicKernel(characteristic_roots(p).z0)
+        _, eta0 = eff.exact_limits(p)
+        gamma = kbar / (kbar + k2 / 2)
+        t = ker.s1 / (ker.c1 + 1)
+        return eta0 * (4 + 3 * gamma * (t - 1)) / \
+            (2 - gamma + (gamma + 2 - 4 * k2 / kbar) * t)
+
     def test_tanh_form_is_inconsistent(self, params):
         # The compact tanh rewrite of the QC eta limit does not equal the
-        # ratio form the closed-form coefficients actually converge to; it
-        # is retained as a diagnostic only.
+        # ratio form the closed-form coefficients actually converge to.
         ratio, _ = eff.qc_limit(params)
-        tanh = eff.qc_limit_tanh(params)
+        tanh = self._qc_limit_tanh(params)
         assert abs(ratio - tanh) > 0.5
 
 
@@ -123,16 +135,35 @@ class TestFQC:
         assert coefs.kappa == pytest.approx(orc.kappa, rel=1e-12)
         assert coefs.eta == pytest.approx(orc.eta, rel=1e-12)
 
+    @staticmethod
+    def _literal_etas(p, m, n):
+        """Two misreadings of eta_fqc: the long form's second denominator
+        read as the product G_{n-m,alpha} (1 + alpha) sinh delta (a sign
+        slip), and the compact form with a spurious sinh delta factor."""
+        roots = characteristic_roots(p)
+        ker = HyperbolicKernel(roots.z0)
+        alpha, beta = roots.alpha, roots.beta
+        k2, kbar = p.kappa2, p.kappa_bar
+        k = n - m
+        zk, s1 = ker.pow(k), ker.s1
+        _, ga = ker.fg_scaled(k, alpha)
+        _, gb = ker.fg_scaled(k, 1 - beta)
+        dhat = ga - (1 + alpha) * s1 * zk
+        boost = 1 + (1 + alpha) * s1 * zk / dhat
+        sign = ((1 + (beta - 2) * k2 / kbar) * boost
+                + (k2 / kbar) * gb / (ga * s1))
+        compact = (1 - (alpha + beta - 1) * s1 * ker.shat(k) / dhat
+                   + (1 + alpha) * s1 * zk / dhat)
+        return sign, compact
+
     def test_literal_variants_do_not_match(self, params):
-        # Two defective variants, kept behind flags for inspection: a
-        # sign slip in the denominator and a spurious sinh factor in the
-        # compact numerator.  Neither variant matches the oracle.
+        # A sign slip in the denominator and a spurious sinh factor in the
+        # compact numerator: neither variant matches the primary form,
+        # which matches the oracle.
         good = eff.fqc_coefficients(params, REF_M, REF_N)
-        sign = eff.fqc_coefficients(params, REF_M, REF_N, literal_sign=True)
-        compact = eff.fqc_coefficients(params, REF_M, REF_N,
-                                       literal_compact=True)
-        assert abs(sign.eta - good.eta) > 1e-2
-        assert abs(compact.eta - good.eta) > 1e-2
+        sign, compact = self._literal_etas(params, REF_M, REF_N)
+        assert abs(sign - good.eta) > 1e-2
+        assert abs(compact - good.eta) > 1e-2
 
 
 class TestOracleEquivalence:
