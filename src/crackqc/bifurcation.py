@@ -65,11 +65,62 @@ class FoldPoint:
 
 @dataclass(frozen=True)
 class BifurcationCurve:
-    """Uniform-s samples (s, u, P, residual) of one traced curve."""
+    """Uniform-s samples (s, u, P, residual) of one traced curve.
+
+    `kink_splits` counts the steps split at u = u_cut; `stop` says why the
+    trace ended: "s_max" (arc length reached) or "broken" (u passed
+    1.1 u_cut).
+    """
 
     samples: np.ndarray
     h: float
     tag: str = ""
+    kink_splits: int = 0
+    stop: str = "s_max"
+
+
+def _cubic_roots(a2: float, a1: float, a0: float) -> List[float]:
+    """Real roots of the monic cubic u^3 + a2 u^2 + a1 u + a0, unsorted.
+
+    With u = t - a2/3 the cubic reads t^3 + p t + q = 0, and the sign of
+    its discriminant (q/2)^2 + (p/3)^3 decides the count: three real roots
+    (trigonometric form; a double root where it vanishes, i.e. at a fold)
+    or one (Cardano, in the form free of cancellation).  The sign is read
+    from |q/2| against |p/3|^(3/2), and the square root of the discriminant
+    is taken as a product of square roots, so no power of q can overflow.
+    Each root then takes one Newton step, kept only if it lowers the
+    residual: next to a double root the derivative is tiny and a step
+    could land far off.
+    """
+    shift = a2 / 3
+    p = a1 - a2 * shift
+    q = (2 * shift * shift - a1) * shift + a0
+    half_q, third_p = q / 2, p / 3
+    radius = math.sqrt(abs(third_p))
+    cube = abs(third_p) * radius
+    if third_p < 0 and abs(half_q) <= cube:
+        angle = math.acos(max(-1.0, min(1.0, -half_q / cube))) / 3
+        roots = [2 * radius * math.cos(angle - k * (2 * math.pi / 3)) - shift
+                 for k in range(3)]
+    else:
+        if third_p < 0:
+            sq = math.sqrt(abs(half_q) - cube) * math.sqrt(abs(half_q) + cube)
+        else:
+            sq = math.hypot(half_q, cube)
+        w = (abs(half_q) + sq) ** (1 / 3)
+        if half_q > 0:
+            w = -w
+        roots = [(w - third_p / w if w else 0.0) - shift]
+    polished = []
+    for u in roots:
+        g = ((u + a2) * u + a1) * u + a0
+        slope = (3 * u + 2 * a2) * u + a1
+        if slope:
+            v = u - g / slope
+            if abs(((v + a2) * v + a1) * v + a0) < abs(g):
+                u = v
+        polished.append(u)
+    return polished
 
 
 def solve_branches(eq: EffectiveEquation, P: float) -> List[float]:
@@ -78,21 +129,19 @@ def solve_branches(eq: EffectiveEquation, P: float) -> List[float]:
     On the bond support u <= u_cut the equation is the cubic
     -(kappa3/c^2)(u^3 - 2c u^2 + c^2 u) + kappa u + eta P = 0; beyond the
     cutoff it is linear, kappa u + eta P = 0.  Roots are collected per
-    piece and deduplicated at the piece boundary.
+    piece and deduplicated at the piece boundary.  The cubic is solved in
+    closed form, in floats only.
     """
     if not math.isfinite(P):
         raise ValueError(f"P must be finite, got {P}")
     law, kappa, eta = eq.law, eq.kappa, eq.eta
     c, k3 = law.u_cut, law.kappa3
     s = k3 / (c * c)
-    # -s u^3 + 2 s c u^2 + (kappa - s c^2) u + eta P = 0
-    coeffs = [-s, 2 * s * c, kappa - s * c * c, eta * P]
+    # Divided by -s: u^3 - 2c u^2 + (c^2 - kappa/s) u - eta P/s = 0
     roots: List[float] = []
-    for r in np.roots(coeffs):
-        if abs(r.imag) < 1e-9 * max(1.0, abs(r.real)):
-            u = float(r.real)
-            if u <= c + 1e-12:
-                roots.append(min(u, c))
+    for u in _cubic_roots(-2 * c, c * c - kappa / s, -eta * P / s):
+        if u <= c + 1e-12:
+            roots.append(min(u, c))
     if kappa != 0:
         u_lin = -eta * P / kappa
         if u_lin > c - 1e-12:
@@ -134,55 +183,6 @@ def orientation(eq: EffectiveEquation) -> float:
     return 1.0 if eq.slope(0.0) > 0 else -1.0
 
 
-def tangent(eq: EffectiveEquation, u: float,
-            sign: Optional[float] = None) -> Tuple[float, float]:
-    """Oriented unit tangent (du/ds, dP/ds) of the curve at displacement u."""
-    if sign is None:
-        sign = orientation(eq)
-    slope = eq.slope(u)
-    r = math.hypot(slope, eq.eta)
-    return sign * (-eq.eta) / r, sign * slope / r
-
-
-def _rk4_step(eq: EffectiveEquation, sign: float, u: float, P: float,
-              h: float) -> Tuple[float, float]:
-    k1u, k1p = tangent(eq, u, sign)
-    k2u, k2p = tangent(eq, u + h / 2 * k1u, sign)
-    k3u, k3p = tangent(eq, u + h / 2 * k2u, sign)
-    k4u, k4p = tangent(eq, u + h * k3u, sign)
-    return (u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
-            P + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
-
-
-def _advance(eq: EffectiveEquation, sign: float, u: float, P: float,
-             h: float) -> Tuple[float, float]:
-    """One step of size h, split exactly at a u = u_cut crossing.
-
-    F'' jumps at the cutoff, so a step straddling it would drop to low
-    order; landing a substep exactly on the kink restores 4th order on
-    each smooth piece.
-    """
-    c = eq.law.u_cut
-    u_new, P_new = _rk4_step(eq, sign, u, P, h)
-    before, after = u - c, u_new - c
-    if before == 0 or after == 0 or (before > 0) == (after > 0):
-        return u_new, P_new
-
-    # Bisection on the substep length; the relative term keeps the width
-    # above two ulps of h, so the loop ends for any step size.
-    lo, hi = 0.0, h
-    width = 1e-15 + 4 * np.finfo(float).eps * h
-    while hi - lo > width:
-        theta = (lo + hi) / 2
-        if (_rk4_step(eq, sign, u, P, theta)[0] > c) == (before > 0):
-            lo = theta
-        else:
-            hi = theta
-    theta = (lo + hi) / 2
-    u_mid, P_mid = _rk4_step(eq, sign, u, P, theta)
-    return _rk4_step(eq, sign, u_mid, P_mid, h - theta)
-
-
 def trace_curve(eq: EffectiveEquation, s_max: float,
                 h: float = DEFAULT_STEP, sign: Optional[float] = None,
                 tag: str = "") -> BifurcationCurve:
@@ -191,6 +191,11 @@ def trace_curve(eq: EffectiveEquation, s_max: float,
     Stops at s_max or once u exceeds 1.1 u_cut (the bond is fully broken
     and the remaining curve is an exact straight line).  Each sample row
     is (s, u, P, |g(u, P)|).
+
+    A step that crosses u = u_cut is split exactly at the crossing: F''
+    jumps at the cutoff, so a step straddling it would drop to low order,
+    while landing a substep on the kink restores 4th order on each smooth
+    piece.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be nonnegative, got {s_max}")
@@ -198,16 +203,69 @@ def trace_curve(eq: EffectiveEquation, s_max: float,
         raise ValueError(f"h must be positive, got {h}")
     if sign is None:
         sign = orientation(eq)
+    c, kappa, eta = eq.law.u_cut, eq.kappa, eq.eta
+    a = -(eq.law.kappa3 / c ** 2)
+    du = sign * (-eta)
+    hypot = math.hypot
+
+    def step(u: float, P: float, ds: float) -> Tuple[float, float]:
+        """Classical RK4 step of length ds along the oriented unit tangent
+        (sign (-eta), sign g_u) / hypot(g_u, eta), g_u = F'(u) + kappa.
+
+        The stages evaluate g_u inline with the operations of
+        `ForceLaw.force_derivative` in the same order, so the step is bit
+        for bit the one built on `EffectiveEquation.slope`.
+        """
+        g = kappa if u > c else a * (u - c) * (3 * u - c) + kappa
+        r = hypot(g, eta)
+        k1u, k1p = du / r, sign * g / r
+        v = u + ds / 2 * k1u
+        g = kappa if v > c else a * (v - c) * (3 * v - c) + kappa
+        r = hypot(g, eta)
+        k2u, k2p = du / r, sign * g / r
+        v = u + ds / 2 * k2u
+        g = kappa if v > c else a * (v - c) * (3 * v - c) + kappa
+        r = hypot(g, eta)
+        k3u, k3p = du / r, sign * g / r
+        v = u + ds * k3u
+        g = kappa if v > c else a * (v - c) * (3 * v - c) + kappa
+        r = hypot(g, eta)
+        k4u, k4p = du / r, sign * g / r
+        return (u + ds / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
+                P + ds / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
+
     u, P = 0.0, 0.0
-    rows = [(0.0, u, P, abs(eq.residual(u, P)))]
-    limit = OVERSHOOT_FACTOR * eq.law.u_cut
-    steps = int(round(s_max / h))
-    for k in range(1, steps + 1):
-        u, P = _advance(eq, sign, u, P, h)
-        rows.append((k * h, u, P, abs(eq.residual(u, P))))
+    rows = [0.0, u, P, abs(eq.residual(u, P))]
+    limit = OVERSHOOT_FACTOR * c
+    splits = 0
+    stop = "s_max"
+    for k in range(1, int(round(s_max / h)) + 1):
+        u_new, P_new = step(u, P, h)
+        before, after = u - c, u_new - c
+        if before != 0 and after != 0 and (before > 0) != (after > 0):
+            # Bisection on the substep length; the relative term keeps the
+            # width above two ulps of h, so the loop ends for any step size.
+            splits += 1
+            lo, hi = 0.0, h
+            width = 1e-15 + 4 * np.finfo(float).eps * h
+            while hi - lo > width:
+                theta = (lo + hi) / 2
+                if (step(u, P, theta)[0] > c) == (before > 0):
+                    lo = theta
+                else:
+                    hi = theta
+            theta = (lo + hi) / 2
+            u_mid, P_mid = step(u, P, theta)
+            u_new, P_new = step(u_mid, P_mid, h - theta)
+        u, P = u_new, P_new
+        # |g(u, P)| with the operations of EffectiveEquation.residual.
+        force = 0.0 if u > c else a * u * (u - c) ** 2
+        rows += (k * h, u, P, abs(force + kappa * u + eta * P))
         if u > limit:
+            stop = "broken"
             break
-    return BifurcationCurve(samples=np.array(rows), h=h, tag=tag)
+    return BifurcationCurve(samples=np.array(rows).reshape(-1, 4), h=h,
+                            tag=tag, kink_splits=splits, stop=stop)
 
 
 def compare_curves(curve_a: BifurcationCurve, curve_b: BifurcationCurve):

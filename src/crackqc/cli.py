@@ -72,8 +72,9 @@ def _gate(k1, k2, k3, ucut):
     """The one parameter gate and invalid-input handler of every command.
 
     Every command needs the characteristic roots, so a parameter set
-    without them exits 2 here; a ValueError or ArithmeticError raised by
-    the command's body also exits 2.
+    without them exits 2 here; a ValueError, ArithmeticError or
+    SingularJacobianError (a chain the input makes singular) raised by the
+    command's body also exits 2.
     """
     try:
         params = validate(k1, k2, k3, ucut)
@@ -83,7 +84,7 @@ def _gate(k1, k2, k3, ucut):
         sys.exit(2)
     try:
         yield params
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, lat.SingularJacobianError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

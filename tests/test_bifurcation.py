@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crackqc import bifurcation as bif
 from crackqc import effective as eff
@@ -7,7 +11,7 @@ from crackqc.bifurcation import (BifurcationCurve, EffectiveEquation,
                                  compare_curves, fold_points, lipschitz_bound,
                                  solve_branches, trace_curve)
 from crackqc.effective import ModelKind
-from crackqc.material import force_law
+from crackqc.material import ForceLaw, force_law
 
 REF_N = 104
 REF_M = 100
@@ -23,6 +27,87 @@ def _equation(params, kind, m=REF_M, n=REF_N):
     coefs = eff.coefficients(params, kind, n,
                              None if kind is ModelKind.EXACT else m)
     return EffectiveEquation(force_law(params), coefs.kappa, coefs.eta)
+
+
+def _reference_trace(eq, s_max, h, sign):
+    """Textbook RK4 trace on the oriented unit tangent, call by call.
+
+    The step-by-step form `trace_curve` replaced: `tangent` through
+    `EffectiveEquation.slope`, an RK4 step, and a step split by bisection
+    at the u = u_cut crossing.  `trace_curve` keeps every float operation
+    in the same order, so its samples must equal these bit for bit.
+    """
+    def tangent(u):
+        slope = eq.slope(u)
+        r = math.hypot(slope, eq.eta)
+        return sign * (-eq.eta) / r, sign * slope / r
+
+    def rk4_step(u, P, h):
+        k1u, k1p = tangent(u)
+        k2u, k2p = tangent(u + h / 2 * k1u)
+        k3u, k3p = tangent(u + h / 2 * k2u)
+        k4u, k4p = tangent(u + h * k3u)
+        return (u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
+                P + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
+
+    def advance(u, P, h):
+        c = eq.law.u_cut
+        u_new, P_new = rk4_step(u, P, h)
+        before, after = u - c, u_new - c
+        if before == 0 or after == 0 or (before > 0) == (after > 0):
+            return u_new, P_new
+        lo, hi = 0.0, h
+        width = 1e-15 + 4 * np.finfo(float).eps * h
+        while hi - lo > width:
+            theta = (lo + hi) / 2
+            if (rk4_step(u, P, theta)[0] > c) == (before > 0):
+                lo = theta
+            else:
+                hi = theta
+        theta = (lo + hi) / 2
+        u_mid, P_mid = rk4_step(u, P, theta)
+        return rk4_step(u_mid, P_mid, h - theta)
+
+    u, P = 0.0, 0.0
+    rows = [(0.0, u, P, abs(eq.residual(u, P)))]
+    for k in range(1, int(round(s_max / h)) + 1):
+        u, P = advance(u, P, h)
+        rows.append((k * h, u, P, abs(eq.residual(u, P))))
+        if u > bif.OVERSHOOT_FACTOR * eq.law.u_cut:
+            break
+    return np.array(rows)
+
+
+def _reference_branches(eq, P):
+    """Roots of the branch cubic from `np.roots` (companion eigenvalues),
+    with the same filters as `solve_branches`."""
+    c, kappa, eta = eq.law.u_cut, eq.kappa, eq.eta
+    s = eq.law.kappa3 / (c * c)
+    roots = []
+    for r in np.roots([-s, 2 * s * c, kappa - s * c * c, eta * P]):
+        if abs(r.imag) < 1e-9 * max(1.0, abs(r.real)) and r.real <= c + 1e-12:
+            roots.append(min(float(r.real), c))
+    if kappa != 0 and -eta * P / kappa > c - 1e-12:
+        roots.append(max(-eta * P / kappa, c))
+    roots.sort()
+    deduped = []
+    for u in roots:
+        if not deduped or abs(u - deduped[-1]) > 1e-9 * max(1.0, abs(u)):
+            deduped.append(u)
+    return deduped
+
+
+def _double_root_loads(eq):
+    """Loads at which the branch cubic has a double root, wherever it lies
+    (fold_points reports only those on (0, u_cut))."""
+    c, kappa, k3 = eq.law.u_cut, eq.kappa, eq.law.kappa3
+    loads = []
+    for u in np.roots([3.0, -4 * c, c * c * (1 - kappa / k3)]):
+        if abs(u.imag) < 1e-12:
+            u = float(u.real)
+            cubic = -(k3 / c ** 2) * u * (u - c) ** 2
+            loads.append(-(cubic + kappa * u) / eq.eta)
+    return loads
 
 
 class TestEquation:
@@ -66,9 +151,51 @@ class TestBranches:
             else:
                 assert count in (1, 2, 3), p
 
+    def test_roots_at_fold_loads(self, exact_eq):
+        # At a fold load the cubic has a double root, where g' vanishes and
+        # a Newton polish step could leave the root (it would, for
+        # kappa = 10).  Whether rounding resolves the double root as two
+        # roots or none is not checked.
+        for eq in (exact_eq, EffectiveEquation(exact_eq.law, 10.0, 1.0)):
+            for fold in fold_points(eq):
+                for P in (np.nextafter(fold.P_star, -np.inf), fold.P_star,
+                          np.nextafter(fold.P_star, np.inf)):
+                    for u in solve_branches(eq, float(P)):
+                        assert abs(eq.residual(u, float(P))) < 1e-12
+
     def test_rejects_nonfinite_load(self, exact_eq):
         with pytest.raises(ValueError):
             solve_branches(exact_eq, float("nan"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(k3=st.floats(1e-2, 1e2),
+           ratio=st.one_of(st.just(0.0), st.floats(-1.0, -1e-6),
+                           st.floats(1e-6, 1.5)),
+           eta=st.floats(1e-2, 1e2), u_cut=st.floats(0.05, 5.0),
+           load=st.floats(-1.0, 1.0))
+    def test_closed_form_roots(self, k3, ratio, eta, u_cut, load):
+        # kappa / kappa3 in [-1, 1.5] covers no fold (below -1/3), two
+        # folds on (0, u_cut) (up to 0), one, and a double root at u < 0
+        # (above 1); |kappa| stays off the range where the linear root
+        # -eta P / kappa overflows.  Loads are drawn on the fold loads' scale
+        # kappa3 u_cut / eta, which also sets the width of the band around
+        # a double-root load where the count is decided by rounding.
+        eq = EffectiveEquation(ForceLaw(k3, u_cut), ratio * k3, eta)
+        unit = k3 * u_cut / eta
+        P = load * unit
+        roots = solve_branches(eq, P)
+        for u in roots:
+            # Sum of the term magnitudes of g, at |u| >= u_cut so that a
+            # root next to 0 is judged on the scale of the whole cubic.
+            size = max(abs(u), u_cut)
+            scale = abs(eq.eta * P) + abs(eq.kappa) * size
+            if u <= u_cut:
+                scale += k3 / u_cut ** 2 * size * (size + u_cut) ** 2
+            assert abs(eq.residual(u, P)) <= 1e-9 * scale
+        assert all(b - a > 1e-9 * max(1.0, abs(b))
+                   for a, b in zip(roots, roots[1:]))
+        if all(abs(P - p) > 1e-9 * unit for p in _double_root_loads(eq)):
+            assert len(roots) == len(_reference_branches(eq, P))
 
 
 class TestFolds:
@@ -172,6 +299,29 @@ class TestTrace:
                                                   abs=1e-8)
         assert rev.samples[1, 2] == pytest.approx(-fwd.samples[1, 2],
                                                   abs=1e-7)
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-3])
+    @pytest.mark.parametrize("flip", [1.0, -1.0])
+    @pytest.mark.parametrize("kappa", [None, -10.0])
+    def test_bit_identical_to_reference(self, exact_eq, kappa, flip, h):
+        # kappa = -10 has no folds.  Forward, the curve breaks the bond and
+        # one step straddles u_cut; reversed, u < 0 and no step does.
+        eq = (exact_eq if kappa is None
+              else EffectiveEquation(exact_eq.law, kappa, 1.0))
+        sign = flip * bif.orientation(eq)
+        curve = trace_curve(eq, 6.0, h, sign=sign)
+        assert curve.kink_splits == (1 if flip > 0 else 0)
+        reference = _reference_trace(eq, 6.0, h, sign)
+        assert curve.samples.tobytes() == reference.tobytes()
+
+    def test_stop_reason_and_kink_splits(self, exact_eq):
+        short = trace_curve(exact_eq, 1.0, 1e-2)
+        assert (short.stop, short.kink_splits) == ("s_max", 0)
+        broken = trace_curve(exact_eq, 50.0, 1e-2)
+        assert (broken.stop, broken.kink_splits) == ("broken", 1)
+        # The last sample lies past 1.1 u_cut, the one before it does not.
+        limit = bif.OVERSHOOT_FACTOR * exact_eq.law.u_cut
+        assert broken.samples[-1, 1] > limit >= broken.samples[-2, 1]
 
     def test_rejects_bad_arguments(self, exact_eq):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import crackqc
 from crackqc.cli import main
 
 
@@ -72,6 +74,13 @@ class TestCoefficients:
         assert entry["eta"] == pytest.approx(0.929611137867217, abs=1e-11)
         assert data["limits"]["eta0"] == pytest.approx(0.9296111378660926)
         assert len(entry["expansions"]) == 2
+
+    def test_singular_chain_exits_2(self, runner):
+        # k3 ~ 1e300 makes the O(1) crack-region pivots look singular.
+        result = runner.invoke(main, ["coefficients", "--oracle",
+                                      "--k3", "1e300"])
+        assert result.exit_code == 2
+        assert "error: singular Jacobian" in result.output
 
     def test_deterministic(self, runner):
         a = runner.invoke(main, ["coefficients", "--json", "--oracle"])
@@ -201,3 +210,11 @@ class TestCheck:
         a = runner.invoke(main, ["check", "--seed", "7"])
         b = runner.invoke(main, ["check", "--seed", "7"])
         assert a.output == b.output
+
+
+def test_distribution_version_matches_package():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["name"] == "crackqc"
+    assert project["version"] == crackqc.__version__
