@@ -129,8 +129,9 @@ def solve_branches(eq: EffectiveEquation, P: float) -> List[float]:
     On the bond support u <= u_cut the equation is the cubic
     -(kappa3/c^2)(u^3 - 2c u^2 + c^2 u) + kappa u + eta P = 0; beyond the
     cutoff it is linear, kappa u + eta P = 0.  Roots are collected per
-    piece and deduplicated at the piece boundary.  The cubic is solved in
-    closed form, in floats only.
+    piece and deduplicated at the piece boundary; a linear root that
+    overflows (at a subnormal kappa) is dropped, so every root is finite.
+    The cubic is solved in closed form, in floats only.
     """
     if not math.isfinite(P):
         raise ValueError(f"P must be finite, got {P}")
@@ -144,7 +145,7 @@ def solve_branches(eq: EffectiveEquation, P: float) -> List[float]:
             roots.append(min(u, c))
     if kappa != 0:
         u_lin = -eta * P / kappa
-        if u_lin > c - 1e-12:
+        if c - 1e-12 < u_lin < math.inf:
             roots.append(max(u_lin, c))
     roots.sort()
     deduped: List[float] = []

@@ -115,8 +115,6 @@ def cmd_validate(k1, k2, k3, ucut):
         click.echo(f"z0 = {_fmt(roots.z0)}")
         click.echo(f"z1 = {_fmt(roots.z1)}  z2 = {_fmt(roots.z2)}")
         click.echo(f"alpha = {_fmt(roots.alpha)}  beta = {_fmt(roots.beta)}")
-        if roots.marginal:
-            click.echo("warning: roots on the |z| = 1 boundary (marginal)")
         click.echo("OK")
 
 

@@ -1,10 +1,12 @@
 """Full-chain assembly, Newton solving, reconstruction, and the oracle.
 
-The semi-infinite chain is truncated at index j_max, far enough beyond the
-crack tip n that the bonded-region decay max(|z1|, |z2|)^(j_max - n) is
-negligible.  Truncation uses two closure rows enforcing the bonded-region
-recursion u_j = alpha u_{j-2} + beta u_{j-1} at j = j_max - 1 and j_max,
-which is exact for the semi-infinite solution, so no clamping error enters.
+The semi-infinite chain is truncated at j_max = n + 5 by default.  The
+last two rows (one when kappa2 = 0) are closure rows enforcing the
+bonded-region recursion u_j = alpha u_{j-2} + beta u_{j-1}.  Beyond the tip
+the semi-infinite solution combines only the decaying modes z1^j and z2^j,
+so it satisfies that recursion exactly at every j > n: cut off at any
+j_max >= n + 5 it still solves every row, so the truncated chain's solution
+is the semi-infinite one, and a longer tail adds rows but no accuracy.
 
 Force residuals are assembled directly from the equilibrium equations
 of each model; energies are assembled from independently derived pair-term
@@ -34,15 +36,11 @@ import numpy as np
 
 from .effective import EffectiveCoefficients, ModelKind, check_interface
 from .kernels import HyperbolicKernel
-from .material import (MaterialParams, bonded_region_roots,
-                       characteristic_roots, force_law)
+from .material import MaterialParams, characteristic_roots, force_law
 
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 50
 MAX_HALVINGS = 20
-TAIL_DECAY_TARGET = 1e-14
-TAIL_MIN = 30
-TAIL_MAX = 400
 KL = KU = 2
 DIAG = KL + KU
 
@@ -73,16 +71,9 @@ def _kappa2_zero_root(params: MaterialParams) -> float:
 
 
 def default_tail(params: MaterialParams) -> int:
-    """Smallest J with max-bonded-root^J <= 1e-14, clamped to [30, 400]."""
-    if params.kappa2 == 0:
-        zmax = abs(_kappa2_zero_root(params))
-    else:
-        z1, z2 = bonded_region_roots(params)
-        zmax = max(abs(z1), abs(z2))
-    if zmax <= 0:
-        return TAIL_MIN
-    j = int(math.ceil(math.log(TAIL_DECAY_TARGET) / math.log(zmax)))
-    return min(max(j, TAIL_MIN), TAIL_MAX)
+    """Rows beyond the tip: five, the fewest `chain_config` accepts, which
+    are exact for every parameter set (see the module docstring)."""
+    return 5
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ def chain_config(params: MaterialParams, model: ModelKind, n: int,
         check_interface(model, m, n)
     if j_max is None:
         j_max = n + default_tail(params)
-    if j_max < n + 5:
+    if j_max < n + default_tail(params):
         raise ValueError(f"j_max={j_max} leaves no bonded tail beyond n={n}")
     return ChainConfig(params, model, n, m, j_max)
 
@@ -236,8 +227,14 @@ def assemble_residual(config: ChainConfig,
         raise ValueError(
             f"field length {u.shape[0]} does not match j_max={config.j_max}")
     a_mat, p_vec = linear_system(config)
-    residual = band_matvec(a_mat, u) + p_vec * field.P
-    residual[config.n] += force_law(config.params).force(u[config.n])
+    return _residual(a_mat, p_vec, force_law(config.params), config.n, u,
+                     field.P)
+
+
+def _residual(ab, p_vec, law, n, u, P) -> np.ndarray:
+    """A u + p P + F(u_n) e_n, the residual of every equilibrium row."""
+    residual = band_matvec(ab, u) + p_vec * P
+    residual[n] += law.force(u[n])
     return residual
 
 
@@ -306,14 +303,27 @@ def _factorize(ab: np.ndarray):
     return lambda rhs: dgbtrs(lu, KL, KU, rhs, piv)[0]
 
 
+def _tip_columns(config: ChainConfig):
+    """(ab, p, W) with W = A^-1 [e_n, p], from one factorization of A."""
+    a_mat, p_vec = linear_system(config)
+    rhs = np.zeros((config.j_max + 1, 2))
+    rhs[config.n, 0] = 1.0
+    rhs[:, 1] = p_vec
+    return a_mat, p_vec, _factorize(a_mat)(rhs)
+
+
 def newton_solve(config: ChainConfig, P: float,
                  u_init: Optional[DisplacementField] = None,
                  return_history: bool = False):
-    """Newton iteration with analytic Jacobian and residual-norm halving.
+    """Newton iteration with residual-norm halving, on one factorization.
 
-    Converges when the max-norm residual drops below 1e-12 (1 + |P|).
-    Raises SingularJacobianError at a (near-)zero pivot and
-    ConvergenceError after 50 iterations.
+    The Jacobian is A + F'(t) e_n e_n^T with t = u_n, so the full step from
+    any u lands on -(P w_p + f w_e), with the oracle's columns
+    w_e = A^-1 e_n, w_p = A^-1 p, g = (w_e)_n, h = (w_p)_n and
+    f = (F(t) - F'(t) (t + P h)) / (1 + g F'(t)).  Converges when the
+    max-norm residual of the full chain drops below 1e-12 (1 + |P|).
+    Raises SingularJacobianError where 1 + g F'(t) vanishes relative to
+    its terms and ConvergenceError after 50 iterations.
     """
     size = config.j_max + 1
     if u_init is None:
@@ -323,42 +333,36 @@ def newton_solve(config: ChainConfig, P: float,
         if u.shape != (size,):
             raise ValueError("u_init length does not match config")
     law = force_law(config.params)
-    a_mat, p_vec = linear_system(config)
+    a_mat, p_vec, cols = _tip_columns(config)
     n = config.n
+    (w_e, w_p), (g, h) = cols.T, cols[n]
     tol = RESIDUAL_TOL * (1 + abs(P))
-    history = []
-
-    def residual_of(vec):
-        r = band_matvec(a_mat, vec) + p_vec * P
-        r[n] += law.force(vec[n])
-        return r
-
-    residual = residual_of(u)
-    norm = float(np.max(np.abs(residual)))
-    history.append(norm)
-    for _ in range(MAX_ITERATIONS):
-        if norm <= tol:
-            field = DisplacementField(u=u, P=P)
-            return (field, history) if return_history else field
-        jac = a_mat.copy()
-        jac[DIAG, n] += law.force_derivative(u[n])
-        step = _factorize(jac)(-residual)
+    norm = float(np.max(np.abs(_residual(a_mat, p_vec, law, n, u, P))))
+    history = [norm]
+    while not norm <= tol:
+        if len(history) > MAX_ITERATIONS:
+            raise ConvergenceError(
+                f"no convergence after {MAX_ITERATIONS} iterations; "
+                f"residual norm {norm:.3e}")
+        t = u[n]
+        slope = law.force_derivative(t)
+        pivot = 1 + g * slope
+        if abs(pivot) <= 1e-13 * (1 + abs(g * slope)):
+            raise SingularJacobianError(n, float(pivot))
+        f = (law.force(t) - slope * (t + P * h)) / pivot
+        step = -(P * w_p + f * w_e) - u
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             trial = u + scale * step
-            trial_res = residual_of(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm < norm or norm <= tol:
+            trial_norm = float(np.max(np.abs(
+                _residual(a_mat, p_vec, law, n, trial, P))))
+            if trial_norm < norm:
                 break
             scale /= 2
-        u, residual, norm = trial, trial_res, trial_norm
+        u, norm = trial, trial_norm
         history.append(norm)
-    if norm <= tol:
-        field = DisplacementField(u=u, P=P)
-        return (field, history) if return_history else field
-    raise ConvergenceError(
-        f"no convergence after {MAX_ITERATIONS} iterations; "
-        f"residual norm {norm:.3e}")
+    field = DisplacementField(u=u, P=P)
+    return (field, history) if return_history else field
 
 
 def oracle_coefficients(config: ChainConfig) -> EffectiveCoefficients:
@@ -370,14 +374,9 @@ def oracle_coefficients(config: ChainConfig) -> EffectiveCoefficients:
     eta = h/g.  Both columns come from one solve on one factorization of A,
     which is singular only where kappa = 0.
     """
-    a_mat, p_vec = linear_system(config)
-    n = config.n
-    rhs = np.zeros((config.j_max + 1, 2))
-    rhs[n, 0] = 1.0
-    rhs[:, 1] = p_vec
-    g, h = _factorize(a_mat)(rhs)[n]
+    g, h = _tip_columns(config)[2][config.n]
     return EffectiveCoefficients(config.model, float(1 / g), float(h / g),
-                                 n, config.m)
+                                 config.n, config.m)
 
 
 def reconstruct_solution(params: MaterialParams, n: int, u_n: float, P: float,
@@ -413,8 +412,8 @@ def reconstruct_solution(params: MaterialParams, n: int, u_n: float, P: float,
     a = u_n - b * n - e_plus_hat - e_minus * ker.pow(n)
 
     u = np.zeros(j_max + 1)
-    for j in range(n + 1):
-        u[j] = a + b * j + e_plus_hat * ker.pow(n - j) + e_minus * ker.pow(j)
+    j = np.arange(n + 1)
+    u[:n + 1] = a + b * j + e_plus_hat * z0 ** (n - j) + e_minus * z0 ** j
     for j in range(n + 1, j_max + 1):
         u[j] = alpha * u[j - 2] + beta * u[j - 1]
     coeffs = ReconstructionCoefficients(a=a, b=b, c=c, d=d,

@@ -142,18 +142,13 @@ def force_law(params: MaterialParams) -> ForceLaw:
 
 @dataclass(frozen=True)
 class CharacteristicRoots:
-    """Real characteristic roots and the derived alpha/beta combinations.
-
-    `marginal` flags parameter sets on the |z| = 1 boundary (double root of
-    the reduced quadratic); the roots are still returned.
-    """
+    """Real characteristic roots and the derived alpha/beta combinations."""
 
     z0: float
     z1: float
     z2: float
     alpha: float
     beta: float
-    marginal: bool
 
 
 def crack_region_root(params: MaterialParams):
@@ -185,11 +180,6 @@ def bonded_region_roots(params: MaterialParams):
     discriminant exactly delta_disc, then picks the |z| <= 1 branch of
     z^2 - w z + 1 = 0 for each w.  Root pairing is therefore unambiguous.
     """
-    z1, z2, _ = _bonded_roots(params)
-    return z1, z2
-
-
-def _bonded_roots(params: MaterialParams):
     k1, k2, k3 = params.kappa1, params.kappa2, params.kappa3
     if k2 == 0:
         raise ParameterError(
@@ -200,7 +190,6 @@ def _bonded_roots(params: MaterialParams):
     w1 = q / k2
     w2 = -2 * (k1 + 2 * k2 + k3) / q
     roots = []
-    marginal = False
     for w in (w1, w2):
         ww = w * w - 4
         if ww < 0:
@@ -209,7 +198,14 @@ def _bonded_roots(params: MaterialParams):
                 f"|z + 1/z| = {abs(w)} < 2: the bonded-region roots are "
                 "complex; this regime is unsupported")
         if ww == 0:
-            marginal = True
+            # |w| = 2 means z = +-1, and of these only z = 1 solves the
+            # quartic, at kappa3 = 0.  So ww is 0 only where kappa3 is lost
+            # to rounding against kappa1, and the polish below would move
+            # the double root far off.
+            raise ParameterError(
+                "marginal",
+                f"|z + 1/z| rounds to 2 at kappa3 = {k3}: the bonded-region "
+                "roots are a double root on |z| = 1 in floating point")
         s = _sign(w)
         z = (w - s * _sqrt(ww)) / 2
         # One Newton step on the quartic removes the mild error amplification
@@ -221,18 +217,15 @@ def _bonded_roots(params: MaterialParams):
                   - (2 * k1 + 2 * k2 + 2 * k3) * z * z + k1 * z + k2)
             z = z - pv / dp
         roots.append(z)
-    return roots[0], roots[1], marginal
+    return roots[0], roots[1]
 
 
 def characteristic_roots(params: MaterialParams) -> CharacteristicRoots:
     """All three decaying characteristic roots plus alpha and beta."""
     z0 = crack_region_root(params)
-    z1, z2, marginal = _bonded_roots(params)
-    if abs(z0) == 1:
-        marginal = True
+    z1, z2 = bonded_region_roots(params)
     return CharacteristicRoots(z0=z0, z1=z1, z2=z2,
-                               alpha=-z1 * z2, beta=z1 + z2,
-                               marginal=marginal)
+                               alpha=-z1 * z2, beta=z1 + z2)
 
 
 def alpha_beta_residuals(params: MaterialParams, roots: CharacteristicRoots):

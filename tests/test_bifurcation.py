@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crackqc import bifurcation as bif
@@ -87,7 +87,7 @@ def _reference_branches(eq, P):
     for r in np.roots([-s, 2 * s * c, kappa - s * c * c, eta * P]):
         if abs(r.imag) < 1e-9 * max(1.0, abs(r.real)) and r.real <= c + 1e-12:
             roots.append(min(float(r.real), c))
-    if kappa != 0 and -eta * P / kappa > c - 1e-12:
+    if kappa != 0 and c - 1e-12 < -eta * P / kappa < np.inf:
         roots.append(max(-eta * P / kappa, c))
     roots.sort()
     deduped = []
@@ -168,15 +168,15 @@ class TestBranches:
             solve_branches(exact_eq, float("nan"))
 
     @settings(max_examples=300, deadline=None)
+    @example(k3=1.0, ratio=-5e-324, eta=1.0, u_cut=1.0, load=1.0)
     @given(k3=st.floats(1e-2, 1e2),
-           ratio=st.one_of(st.just(0.0), st.floats(-1.0, -1e-6),
-                           st.floats(1e-6, 1.5)),
+           ratio=st.floats(-1.0, 1.5),
            eta=st.floats(1e-2, 1e2), u_cut=st.floats(0.05, 5.0),
            load=st.floats(-1.0, 1.0))
     def test_closed_form_roots(self, k3, ratio, eta, u_cut, load):
         # kappa / kappa3 in [-1, 1.5] covers no fold (below -1/3), two
         # folds on (0, u_cut) (up to 0), one, and a double root at u < 0
-        # (above 1); |kappa| stays off the range where the linear root
+        # (above 1), and subnormal kappa, where the linear root
         # -eta P / kappa overflows.  Loads are drawn on the fold loads' scale
         # kappa3 u_cut / eta, which also sets the width of the band around
         # a double-root load where the count is decided by rounding.

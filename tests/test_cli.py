@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -29,6 +30,28 @@ class TestValidate:
             result = runner.invoke(main, [command, "--k2", "0"])
             assert result.exit_code == 2, command
             assert "invalid parameters [kappa2]" in result.output, command
+
+    @pytest.mark.parametrize("command", [["validate"],
+                                         ["coefficients", "--oracle"]])
+    def test_vanishing_substrate_exits_2(self, runner, command):
+        # At k3 = 1e-300 the bonded w rounds to 2, the double root z = 1,
+        # which the root polish used to move to 0.8125.
+        result = runner.invoke(main, command + ["--k3", "1e-300"])
+        assert result.exit_code == 2
+        assert "invalid parameters [marginal]" in result.output
+
+    def test_small_substrate_matches_oracle_or_exits_2(self, runner):
+        # Below kappa3 ~ 1e-16 kappa1 the bonded roots round to z = 1; every
+        # k3 either passes the 1e-8 oracle gate or is rejected as marginal.
+        codes = set()
+        for k3 in np.logspace(-18, -12, 25):
+            result = runner.invoke(main, ["coefficients", "--oracle",
+                                          "--k3", repr(float(k3))])
+            codes.add(result.exit_code)
+            if result.exit_code != 0:
+                assert result.exit_code == 2, k3
+                assert "invalid parameters [marginal]" in result.output, k3
+        assert codes == {0, 2}
 
     def test_oscillatory_regime_exits_2(self, runner):
         result = runner.invoke(main, ["validate", "--k2", "-0.5"])

@@ -23,13 +23,26 @@ from conftest import random_params
 
 
 class TestConfig:
-    def test_default_tail_reference(self, params):
-        assert default_tail(params) == 30
-
-    def test_tail_clamped(self):
-        # Slow root decay pushes the tail up; the clamp keeps it bounded.
-        slow = validate(4.0, 2.0, 0.001, 0.5)
-        assert 30 <= default_tail(slow) <= 400
+    @pytest.mark.parametrize("k2,k3", [(0.4, 20.0), (0.0, 20.0),
+                                       (-0.3, 2.0), (2.0, 0.001)])
+    def test_default_tail_is_exact(self, k2, k3):
+        # The closure rows hold for the semi-infinite solution, so the
+        # default five tail rows give the tip of a 200-row tail: for every
+        # model, at k2 = 0, k2 < 0 and slowly decaying bonded roots.
+        p = validate(4.0, k2, k3, 0.5)
+        n = 40
+        for kind in ModelKind:
+            m = None if kind is ModelKind.EXACT else 36
+            short = chain_config(p, kind, n, m)
+            long = chain_config(p, kind, n, m, n + 200)
+            assert short.j_max == n + default_tail(p) == n + 5
+            got, ref = oracle_coefficients(short), oracle_coefficients(long)
+            assert got.kappa == pytest.approx(ref.kappa, rel=1e-12), kind
+            assert got.eta == pytest.approx(ref.eta, rel=1e-12), kind
+            P = 0.05 * p.kappa3 * p.u_cut / ref.eta
+            tip = newton_solve(short, P).u[n]
+            assert tip == pytest.approx(newton_solve(long, P).u[n],
+                                        rel=1e-12), kind
 
     @pytest.mark.parametrize("model,m,n", [
         (ModelKind.EXACT, None, 1),
@@ -253,6 +266,21 @@ class TestNewton:
                            j_max=len(field.u) - 1)
         with pytest.raises((SingularJacobianError, ConvergenceError)):
             newton_solve(cfg, p_max * 1.05, u_init=field)
+
+    def test_one_factorization_per_call(self, params, monkeypatch):
+        # Every Newton step reuses the oracle's two columns of A^-1.
+        calls = []
+        factorize = lat._factorize
+
+        def counted(ab):
+            calls.append(ab.shape)
+            return factorize(ab)
+
+        monkeypatch.setattr(lat, "_factorize", counted)
+        cfg = chain_config(params, ModelKind.EXACT, 30)
+        _, history = newton_solve(cfg, 1.5, return_history=True)
+        assert len(history) > 3
+        assert len(calls) == 1
 
     def test_bad_init_length(self, params):
         cfg = chain_config(params, ModelKind.EXACT, 30)

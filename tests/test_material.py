@@ -87,7 +87,6 @@ class TestCharacteristicRoots:
         assert roots.z0 == pytest.approx(-0.08392021690038397, rel=1e-14)
         assert roots.alpha == pytest.approx(0.008254056983444988, rel=1e-12)
         assert roots.beta == pytest.approx(0.08322753464802402, rel=1e-12)
-        assert not roots.marginal
 
     def test_z0_solves_quadratic(self, rng):
         for _ in range(50):
