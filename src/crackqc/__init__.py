@@ -6,13 +6,13 @@ oracle, a nonlinear Newton solver, and arc-length continuation of the
 resulting bifurcation curves.
 """
 
-from .material import (CharacteristicRoots, ForceLaw, MaterialParams,
-                       ParameterError, alpha_beta_residuals,
-                       bonded_region_roots, characteristic_roots,
-                       crack_region_root, force_law, validate)
+from .material import (CharacteristicRoots, EffectiveCoefficients, ForceLaw,
+                       MaterialParams, ModelKind, ParameterError,
+                       alpha_beta_residuals, bonded_region_roots,
+                       characteristic_roots, crack_region_root, force_law,
+                       validate)
 from .kernels import HyperbolicKernel, KernelRangeError, kernel_for
-from .effective import (CoefficientLimits, EffectiveCoefficients,
-                        ExpansionRecord, ModelKind, coefficients,
+from .effective import (CoefficientLimits, ExpansionRecord, coefficients,
                         exact_coefficients, exact_expansions, exact_limits,
                         expansions, fqc_coefficients, fqc_expansions, limits,
                         qc_coefficients, qc_coefficients_qmatrix, qc_limit,

@@ -27,7 +27,6 @@ import numpy as np
 
 from .material import ForceLaw
 
-RESIDUAL_TARGET = 1e-8
 DEFAULT_STEP = 1e-3
 OVERSHOOT_FACTOR = 1.1
 
@@ -74,7 +73,6 @@ class BifurcationCurve:
 
     samples: np.ndarray
     h: float
-    tag: str = ""
     kink_splits: int = 0
     stop: str = "s_max"
 
@@ -184,9 +182,8 @@ def orientation(eq: EffectiveEquation) -> float:
     return 1.0 if eq.slope(0.0) > 0 else -1.0
 
 
-def trace_curve(eq: EffectiveEquation, s_max: float,
-                h: float = DEFAULT_STEP, sign: Optional[float] = None,
-                tag: str = "") -> BifurcationCurve:
+def trace_curve(eq: EffectiveEquation, s_max: float, h: float = DEFAULT_STEP,
+                sign: Optional[float] = None) -> BifurcationCurve:
     """Continuation from (u, P) = (0, 0) with uniform arc-length samples.
 
     Stops at s_max or once u exceeds 1.1 u_cut (the bond is fully broken
@@ -266,7 +263,7 @@ def trace_curve(eq: EffectiveEquation, s_max: float,
             stop = "broken"
             break
     return BifurcationCurve(samples=np.array(rows).reshape(-1, 4), h=h,
-                            tag=tag, kink_splits=splits, stop=stop)
+                            kink_splits=splits, stop=stop)
 
 
 def compare_curves(curve_a: BifurcationCurve, curve_b: BifurcationCurve):

@@ -121,13 +121,12 @@ def cmd_validate(k1, k2, k3, ucut):
 @main.command("coefficients")
 @_param_options
 @_index_options
-@click.option("--jmax", type=int, default=None)
 @click.option("--model", type=click.Choice(_MODEL_CHOICES), default="all",
               show_default=True)
 @click.option("--oracle", is_flag=True,
               help="Also run the full-chain linear-solve oracle.")
 @_json_option
-def cmd_coefficients(k1, k2, k3, ucut, m, n, jmax, model, oracle, as_json):
+def cmd_coefficients(k1, k2, k3, ucut, m, n, model, oracle, as_json):
     """Closed-form (kappa, eta) per model, with limits and expansions."""
     with _gate(k1, k2, k3, ucut) as params:
         limits = dataclasses.asdict(eff.limits(params))
@@ -146,7 +145,7 @@ def cmd_coefficients(k1, k2, k3, ucut, m, n, jmax, model, oracle, as_json):
                 entry["expansions"] = []
             if oracle:
                 orc = lat.oracle_coefficients(
-                    lat.chain_config(params, kind, n, m, jmax))
+                    lat.chain_config(params, kind, n, m))
                 entry["oracle"] = {"kappa": orc.kappa, "eta": orc.eta}
                 diff = max(abs(orc.kappa - coefs.kappa),
                            abs(orc.eta - coefs.eta))
@@ -216,7 +215,7 @@ def cmd_trace(k1, k2, k3, ucut, m, n, model, smax, step, out):
         for kind in kinds:
             coefs = eff.coefficients(params, kind, n, m)
             eq = bif.EffectiveEquation(law, coefs.kappa, coefs.eta)
-            curve = bif.trace_curve(eq, smax, step, tag=kind.value)
+            curve = bif.trace_curve(eq, smax, step)
             if out is None:
                 _write_curve(curve, None)
             elif len(kinds) == 1:

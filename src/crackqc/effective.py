@@ -42,48 +42,14 @@ both and are not implemented here.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
 from .kernels import HyperbolicKernel
-from .material import MaterialParams, characteristic_roots
+from .material import (EffectiveCoefficients, MaterialParams, ModelKind,
+                       characteristic_roots, check_interface)
 
 CROSS_CHECK_TOL = 1e-10
-
-
-class ModelKind(enum.Enum):
-    EXACT = "exact"
-    QC = "qc"
-    QQC = "qqc"
-    FQC = "fqc"
-
-    @property
-    def has_energy(self) -> bool:
-        """FQC mixes force balances directly and admits no total energy."""
-        return self is not ModelKind.FQC
-
-
-# Smallest interface index per approximation; each also needs m < n.
-MIN_INTERFACE = {ModelKind.QC: 3, ModelKind.QQC: 2, ModelKind.FQC: 1}
-
-
-def check_interface(model: ModelKind, m: Optional[int], n: int):
-    """Raise ValueError unless MIN_INTERFACE[model] <= m < n."""
-    if m is None:
-        raise ValueError(f"{model.value} requires an interface index m")
-    if not (MIN_INTERFACE[model] <= m < n):
-        raise ValueError(f"{model.name} requires {MIN_INTERFACE[model]} "
-                         f"<= m < n, got m={m}, n={n}")
-
-
-@dataclass(frozen=True)
-class EffectiveCoefficients:
-    model: ModelKind
-    kappa: float
-    eta: float
-    n: int
-    m: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -56,17 +56,6 @@ class HyperbolicKernel:
         except OverflowError as exc:
             raise KernelRangeError(f"z0^{k} overflows") from exc
 
-    # Unscaled kernels.
-
-    def cosh(self, k: int):
-        grow = self.pow(-abs(k))
-        return (grow + 1 / grow) / 2
-
-    def sinh(self, k: int):
-        grow = self.pow(-abs(k))
-        value = (grow - 1 / grow) / 2
-        return value if k >= 0 else -value
-
     # Scaled kernels: valid for every integer index of either sign (values
     # grow as z0^(2k) only for k < 0, which callers keep small).
 
@@ -110,18 +99,6 @@ class HyperbolicKernel:
         B_rho = (1+rho) sinh delta; (F_{k,rho}, G_{k,rho}) = (A, B) K_k."""
         return (1 - rho) * (self.c1 - 1), (1 + rho) * self.s1
 
-    def det_kn(self, n: int):
-        """det K_n evaluated through its exponential factorization.
-
-        det K_n = C(n)^2 - S(n)^2 = (C+S)(C-S) with C+S = z0^-n and
-        C-S = z0^n.  The factors are paired per step, ((1/z0) z0)^n, which
-        avoids both the subtractive cancellation that makes the raw
-        difference of squares unusable in doubles and the overflow of the
-        separate z0^-n factor.
-        """
-        self._check(n)
-        return ((1 / self.z0) * self.z0) ** n
-
 
 def kernel_for(params: MaterialParams) -> HyperbolicKernel:
     return HyperbolicKernel(characteristic_roots(params).z0)
@@ -152,30 +129,6 @@ def identity_rela(params: MaterialParams, kernel: HyperbolicKernel, k: int):
     return out[0], out[1]
 
 
-def kn_product_residual(kernel: HyperbolicKernel, n: int, m: int):
-    """Max relative entry residual of K_n K_m^{-1} = K_{n-m}, in scaled form.
-
-    Since det K_m = 1, K_m^{-1} flips the sign of the off-diagonal entries,
-    and the scaled identity reads Khat_n adj(Khat_m) = z0^(2m) Khat_{n-m}.
-    The subtraction in each entry cancels as z0^(2 min(n, m)); for doubles
-    this is meaningful only for small indices, while an mpf-backed kernel
-    verifies the full range.
-    """
-    cn, sn = kernel.chat(n), kernel.shat(n)
-    cm, sm = kernel.chat(m), kernel.shat(m)
-    zm2 = kernel.pow(2 * m)
-    lhs = (cn * cm - sn * sm, sn * cm - cn * sm)
-    rhs = (zm2 * kernel.chat(n - m), zm2 * kernel.shat(n - m))
-    worst = 0 * kernel.z0
-    for left, right in zip(lhs, rhs):
-        denom = max(abs(left), abs(right))
-        denom = denom if denom > 0 else 1
-        resid = abs(left - right) / denom
-        if resid > worst:
-            worst = resid
-    return worst
-
-
 def crisscross_constant(kernel: HyperbolicKernel, alpha, beta):
     """The n-independent value of the criss-cross determinant.
 
@@ -196,37 +149,3 @@ def crisscross_direct(kernel: HyperbolicKernel, alpha, beta, n: int):
     fa, ga = kernel.fg(n, alpha)
     fb, gb = kernel.fg(n, 1 - beta)
     return gb * fa - fb * ga
-
-
-def collapse_residual(kernel: HyperbolicKernel, alpha, beta, n: int):
-    """Relative residual of the coefficient-collapse identity at index n.
-
-    (beta - 2) F_{n,a} + (1 + alpha) F_{n,1-b}
-        = 2 (alpha + beta - 1)(cosh delta - 1) C(n).
-
-    Evaluated in scaled arithmetic; the combination is cancellation-free
-    because the sinh parts annihilate exactly.
-    """
-    fa, _ = kernel.fg_scaled(n, alpha)
-    fb, _ = kernel.fg_scaled(n, 1 - beta)
-    lhs = (beta - 2) * fa + (1 + alpha) * fb
-    rhs = 2 * (alpha + beta - 1) * (kernel.c1 - 1) * kernel.chat(n)
-    scale = max(abs(lhs), abs(rhs))
-    scale = scale if scale > 0 else 1
-    return (lhs - rhs) / scale
-
-
-def fg_ab_residual(kernel: HyperbolicKernel, rho, k: int):
-    """Max relative residual of (F_{k,rho}, G_{k,rho}) = (A_rho, B_rho) K_k,
-    verified in scaled form against the direct Fhat/Ghat evaluation."""
-    a, b = kernel.ab(rho)
-    c, s = kernel.chat(k), kernel.shat(k)
-    ref_f, ref_g = kernel.fg_scaled(k, rho)
-    worst = 0 * kernel.z0
-    for got, ref in ((a * c + b * s, ref_f), (a * s + b * c, ref_g)):
-        denom = max(abs(got), abs(ref))
-        denom = denom if denom > 0 else 1
-        resid = abs(got - ref) / denom
-        if resid > worst:
-            worst = resid
-    return worst

@@ -1,8 +1,8 @@
 """Full-chain assembly, Newton solving, reconstruction, and the oracle.
 
 The semi-infinite chain is truncated at j_max = n + 5 by default.  The
-last two rows (one when kappa2 = 0) are closure rows enforcing the
-bonded-region recursion u_j = alpha u_{j-2} + beta u_{j-1}.  Beyond the tip
+last two rows are closure rows enforcing the bonded-region recursion
+u_j = (z1 + z2) u_{j-1} - z1 z2 u_{j-2}, for every kappa2.  Beyond the tip
 the semi-infinite solution combines only the decaying modes z1^j and z2^j,
 so it satisfies that recursion exactly at every j > n: cut off at any
 j_max >= n + 5 it still solves every row, so the truncated chain's solution
@@ -21,22 +21,22 @@ A[i, j] at ab[KL + KU + i - j, j] and the top KL rows left free for the LU
 fill.  `band_matvec` multiplies by it and `_factorize` factors it.
 
 `oracle_coefficients` extracts (kappa, eta) by pure linear algebra on the
-same factorization (a Schur complement onto the tip unknown).  It never
-touches the closed-form kernels, so it is an independent oracle for
-everything in `effective`.
+same factorization (a Schur complement onto the tip unknown).  Like the
+chain and Newton, it takes everything from `material` and nothing from
+`effective`, so it is an independent oracle for every closed form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .effective import EffectiveCoefficients, ModelKind, check_interface
 from .kernels import HyperbolicKernel
-from .material import MaterialParams, characteristic_roots, force_law
+from .material import (EffectiveCoefficients, MaterialParams, ModelKind,
+                       bonded_region_roots, characteristic_roots,
+                       check_interface, force_law)
 
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 50
@@ -57,17 +57,6 @@ class SingularJacobianError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """Newton iteration failed to reach the residual tolerance."""
-
-
-def _kappa2_zero_root(params: MaterialParams) -> float:
-    """Decaying root of the second-order bonded recurrence when kappa2 = 0:
-    kappa1 z^2 - 2 (kappa1 + kappa3) z + kappa1 = 0, |z| < 1."""
-    k1, k3 = params.kappa1, params.kappa3
-    b = -2 * (k1 + k3)
-    disc = b * b - 4 * k1 * k1
-    q = -(b - math.sqrt(disc)) / 2
-    r1, r2 = q / k1, k1 / q
-    return r1 if abs(r1) <= abs(r2) else r2
 
 
 def default_tail(params: MaterialParams) -> int:
@@ -125,16 +114,10 @@ class ReconstructionCoefficients:
 
 
 def _closure_rows(config: ChainConfig, ab: np.ndarray):
-    """Bonded-recursion closure in the last row(s)."""
-    params = config.params
-    jm = config.j_max
-    if params.kappa2 == 0:
-        zeta = _kappa2_zero_root(params)
-        _add(ab, jm, [(jm, 1.0), (jm - 1, -zeta)])
-        return
-    roots = characteristic_roots(params)
-    for j in (jm - 1, jm):
-        _add(ab, j, [(j, 1.0), (j - 1, -roots.beta), (j - 2, -roots.alpha)])
+    """Bonded-recursion closure in the last two rows."""
+    z1, z2 = bonded_region_roots(config.params)
+    for j in (config.j_max - 1, config.j_max):
+        _add(ab, j, [(j, 1.0), (j - 1, -(z1 + z2)), (j - 2, z1 * z2)])
 
 
 def _add(ab: np.ndarray, row: int, entries):
@@ -143,14 +126,10 @@ def _add(ab: np.ndarray, row: int, entries):
 
 
 def _stencil(ab: np.ndarray, start: int, stop: int, stencil):
-    """Add the constant stencil {column offset: value} to rows start..stop-1.
-
-    One slice write per diagonal; columns past the last one are dropped,
-    which only ever drops zero kappa2 entries.
-    """
-    size = ab.shape[1]
+    """Add the constant stencil {column offset: value} to rows start..stop-1,
+    one slice write per diagonal."""
     for off, val in stencil.items():
-        ab[DIAG - off, start + off:min(stop + off, size)] += val
+        ab[DIAG - off, start + off:stop + off] += val
 
 
 def band_matvec(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -213,8 +192,7 @@ def linear_system(config: ChainConfig):
             atom_start = m + 1
 
     _stencil(a_mat, atom_start, n + 1, atomistic)
-    bonded_stop = jm - 1 if params.kappa2 == 0 else jm - 2
-    _stencil(a_mat, n + 1, bonded_stop + 1, bonded)
+    _stencil(a_mat, n + 1, jm - 1, bonded)
     _closure_rows(config, a_mat)
     return a_mat, p_vec
 

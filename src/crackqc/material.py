@@ -1,4 +1,4 @@
-"""Material parameters, the nonlinear bond force law, and characteristic roots.
+"""Material parameters, model vocabulary, force law and characteristic roots.
 
 The model is a semi-infinite harmonic chain with nearest-neighbor stiffness
 kappa1, next-nearest-neighbor stiffness kappa2, and vertical bond stiffness
@@ -17,6 +17,10 @@ In the bonded region the quartic reduces, through w = z + 1/z, to
 whose discriminant equals delta_disc = kappa_bar^2 + 8 kappa2 kappa3.  The
 two roots with magnitude <= 1 are z1 and z2; the derived combinations
 alpha = -z1 z2 and beta = z1 + z2 drive every closed-form coefficient.
+At kappa2 = 0 the quartic is z times a quadratic: z1 = 0 and z0 is undefined.
+
+`ModelKind`, `check_interface` and `EffectiveCoefficients` sit here, shared
+by the closed forms (`effective`) and the chain oracle (`lattice`).
 
 All functions accept floats or any numeric type supporting arithmetic and
 ** 0.5 (e.g. mpmath.mpf), so high-precision sweeps can reuse the same code.
@@ -24,8 +28,10 @@ All functions accept floats or any numeric type supporting arithmetic and
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 
 class ParameterError(ValueError):
@@ -87,6 +93,40 @@ def validate(kappa1, kappa2, kappa3, u_cut) -> MaterialParams:
     return MaterialParams(kappa1, kappa2, kappa3, u_cut, kappa_bar, delta_disc)
 
 
+class ModelKind(enum.Enum):
+    EXACT = "exact"
+    QC = "qc"
+    QQC = "qqc"
+    FQC = "fqc"
+
+    @property
+    def has_energy(self) -> bool:
+        """FQC mixes force balances directly and admits no total energy."""
+        return self is not ModelKind.FQC
+
+
+# Smallest interface index per approximation; each also needs m < n.
+MIN_INTERFACE = {ModelKind.QC: 3, ModelKind.QQC: 2, ModelKind.FQC: 1}
+
+
+def check_interface(model: ModelKind, m: Optional[int], n: int):
+    """Raise ValueError unless MIN_INTERFACE[model] <= m < n."""
+    if m is None:
+        raise ValueError(f"{model.value} requires an interface index m")
+    if not (MIN_INTERFACE[model] <= m < n):
+        raise ValueError(f"{model.name} requires {MIN_INTERFACE[model]} "
+                         f"<= m < n, got m={m}, n={n}")
+
+
+@dataclass(frozen=True)
+class EffectiveCoefficients:
+    model: ModelKind
+    kappa: float
+    eta: float
+    n: int
+    m: Optional[int] = None
+
+
 @dataclass(frozen=True)
 class ForceLaw:
     """Cubic vertical-bond force law with cutoff.
@@ -115,12 +155,6 @@ class ForceLaw:
             return 0.0 * u
         c = self.u_cut
         return -(self.kappa3 / c ** 2) * (u - c) * (3 * u - c)
-
-    def force_second_derivative(self, u):
-        if u > self.u_cut:
-            return 0.0 * u
-        c = self.u_cut
-        return -(self.kappa3 / c ** 2) * (6 * u - 4 * c)
 
     def surface_energy(self, u):
         """gamma(u) = -integral of F from 0 to u, in closed form.
@@ -179,45 +213,44 @@ def bonded_region_roots(params: MaterialParams):
     kappa2 w^2 + kappa1 w - 2 (kappa1 + 2 kappa2 + kappa3) = 0 with
     discriminant exactly delta_disc, then picks the |z| <= 1 branch of
     z^2 - w z + 1 = 0 for each w.  Root pairing is therefore unambiguous.
+    At kappa2 = 0 the w1 branch is infinite, so z1 = 0 and z2 is the
+    decaying root of kappa1 z^2 - 2 (kappa1 + kappa3) z + kappa1.
     """
     k1, k2, k3 = params.kappa1, params.kappa2, params.kappa3
-    if k2 == 0:
-        raise ParameterError(
-            "kappa2",
-            "kappa2 = 0: the bonded-region recurrence is second order; only "
-            "the full-chain solver supports this case")
     q = -(k1 + _sign(k1) * _sqrt(params.delta_disc)) / 2
-    w1 = q / k2
     w2 = -2 * (k1 + 2 * k2 + k3) / q
-    roots = []
-    for w in (w1, w2):
-        ww = w * w - 4
-        if ww < 0:
-            raise ParameterError(
-                "complex_roots",
-                f"|z + 1/z| = {abs(w)} < 2: the bonded-region roots are "
-                "complex; this regime is unsupported")
-        if ww == 0:
-            # |w| = 2 means z = +-1, and of these only z = 1 solves the
-            # quartic, at kappa3 = 0.  So ww is 0 only where kappa3 is lost
-            # to rounding against kappa1, and the polish below would move
-            # the double root far off.
-            raise ParameterError(
-                "marginal",
-                f"|z + 1/z| rounds to 2 at kappa3 = {k3}: the bonded-region "
-                "roots are a double root on |z| = 1 in floating point")
-        s = _sign(w)
-        z = (w - s * _sqrt(ww)) / 2
-        # One Newton step on the quartic removes the mild error amplification
-        # of the w-substitution when |w| is close to 2.
-        dp = (4 * k2 * z ** 3 + 3 * k1 * z * z
-              - 2 * (2 * k1 + 2 * k2 + 2 * k3) * z + k1)
-        if dp != 0:
-            pv = (k2 * z ** 4 + k1 * z ** 3
-                  - (2 * k1 + 2 * k2 + 2 * k3) * z * z + k1 * z + k2)
-            z = z - pv / dp
-        roots.append(z)
-    return roots[0], roots[1]
+    z1 = 0 * w2 if k2 == 0 else _bonded_root(q / k2, k1, k2, k3)
+    return z1, _bonded_root(w2, k1, k2, k3)
+
+
+def _bonded_root(w, k1, k2, k3):
+    """The |z| <= 1 root of z^2 - w z + 1 = 0, polished on the quartic."""
+    ww = w * w - 4
+    if ww < 0:
+        raise ParameterError(
+            "complex_roots",
+            f"|z + 1/z| = {abs(w)} < 2: the bonded-region roots are "
+            "complex; this regime is unsupported")
+    if ww == 0:
+        # |w| = 2 means z = +-1, and of these only z = 1 solves the
+        # quartic, at kappa3 = 0.  So ww is 0 only where kappa3 is lost
+        # to rounding against kappa1, and the polish below would move
+        # the double root far off.
+        raise ParameterError(
+            "marginal",
+            f"|z + 1/z| rounds to 2 at kappa3 = {k3}: the bonded-region "
+            "roots are a double root on |z| = 1 in floating point")
+    s = _sign(w)
+    z = (w - s * _sqrt(ww)) / 2
+    # One Newton step on the quartic removes the mild error amplification
+    # of the w-substitution when |w| is close to 2.
+    dp = (4 * k2 * z ** 3 + 3 * k1 * z * z
+          - 2 * (2 * k1 + 2 * k2 + 2 * k3) * z + k1)
+    if dp != 0:
+        pv = (k2 * z ** 4 + k1 * z ** 3
+              - (2 * k1 + 2 * k2 + 2 * k3) * z * z + k1 * z + k2)
+        z = z - pv / dp
+    return z
 
 
 def characteristic_roots(params: MaterialParams) -> CharacteristicRoots:

@@ -1,12 +1,17 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crackqc import effective as eff
 from crackqc import lattice as lat
 from crackqc.effective import ModelKind
 from crackqc.kernels import HyperbolicKernel
-from crackqc.material import characteristic_roots, validate
+from crackqc.material import (MIN_INTERFACE, ParameterError,
+                              characteristic_roots, validate)
 
 from conftest import random_params
 
@@ -181,6 +186,33 @@ class TestOracleEquivalence:
                 form = eff.coefficients(p, kind, n, mm)
                 assert form.kappa == pytest.approx(orc.kappa, rel=1e-8), kind
                 assert form.eta == pytest.approx(orc.eta, rel=1e-8), kind
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_k1=st.floats(-1, 2),
+           ratio=st.one_of(
+               st.floats(-3, math.log10(0.2)).map(lambda x: -10 ** x),
+               st.floats(-8, math.log10(300)).map(lambda x: 10 ** x)),
+           log_k3=st.floats(-4, 3), n=st.integers(6, 900),
+           gap=st.integers(2, 12))
+    def test_wide_box(self, log_k1, ratio, log_k3, n, gap):
+        # The same 1e-8 gate past the random_params box: kappa1 in
+        # [0.1, 100], kappa2/kappa1 in [-0.2, -1e-3] or [1e-8, 300] and
+        # kappa3 in [1e-4, 1e3], all log-uniform, with n up to 900.  Closer
+        # to kappa_bar = 0 the gate breaks (ROADMAP item 6).
+        k1 = 10 ** log_k1
+        try:
+            p = validate(k1, ratio * k1, 10 ** log_k3, 0.5)
+            characteristic_roots(p)
+        except ParameterError:
+            assume(False)
+        for kind in ModelKind:
+            m = None if kind is ModelKind.EXACT else n - gap
+            if m is not None and m < MIN_INTERFACE[kind]:
+                continue
+            orc = lat.oracle_coefficients(lat.chain_config(p, kind, n, m))
+            form = eff.coefficients(p, kind, n, m)
+            assert form.kappa == pytest.approx(orc.kappa, rel=1e-8), kind
+            assert form.eta == pytest.approx(orc.eta, rel=1e-8), kind
 
 
 class TestOrderingAndLimits:

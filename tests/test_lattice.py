@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -58,8 +59,14 @@ class TestConfig:
             chain_config(params, model, n, m)
 
     def test_jmax_needs_tail(self, params):
-        with pytest.raises(ValueError):
-            chain_config(params, ModelKind.EXACT, 20, None, 22)
+        # Fewer than five rows past the tip cannot hold the closure rows
+        # and the bonded stencil; five are enough for every model.
+        n = 20
+        for kind in ModelKind:
+            m = None if kind is ModelKind.EXACT else 16
+            with pytest.raises(ValueError):
+                chain_config(params, kind, n, m, n + 4)
+            assert chain_config(params, kind, n, m, n + 5).j_max == n + 5
 
 
 class TestLinearSystem:
@@ -91,7 +98,7 @@ class TestLinearSystem:
             cfg = chain_config(p, kind, n, m)
             ab, _ = linear_system(cfg)
             jm = cfg.j_max
-            bonded_stop = jm - 1 if k2 == 0 else jm - 2
+            bonded_stop = jm - 2
             ref = {}
 
             def put(j, entries):
@@ -117,6 +124,28 @@ class TestLinearSystem:
         _, p_vec = linear_system(cfg)
         assert np.count_nonzero(p_vec) > 0
         assert np.all(p_vec[cfg.n + 1:] == 0)
+
+
+def test_chain_imports_no_closed_form():
+    # The chain, the oracle and Newton take everything from `material`, so
+    # the oracle stays independent of `effective` by construction; only
+    # `reconstruct_solution` evaluates the crack-region kernel.
+    tree = ast.parse(Path(lat.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert {name for name in imported
+            if "effective" in name or "kernels" in name} == {
+                "kernels.HyperbolicKernel"}
+    users = [getattr(stmt, "name", None) for stmt in tree.body
+             if not isinstance(stmt, ast.ImportFrom)
+             and any(isinstance(node, ast.Name)
+                     and node.id == "HyperbolicKernel"
+                     for node in ast.walk(stmt))]
+    assert users == ["reconstruct_solution"]
 
 
 def test_import_loads_no_sparse_or_optimize():

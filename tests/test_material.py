@@ -11,6 +11,13 @@ from crackqc.material import (ForceLaw, ParameterError, alpha_beta_residuals,
 from conftest import random_params
 
 
+def _force_second_derivative(law: ForceLaw, u):
+    if u > law.u_cut:
+        return 0.0 * u
+    c = law.u_cut
+    return -(law.kappa3 / c ** 2) * (6 * u - 4 * c)
+
+
 class TestValidate:
     def test_reference_derived_constants(self, params):
         assert params.kappa_bar == pytest.approx(5.6)
@@ -72,7 +79,7 @@ class TestForceLaw:
             assert fd == pytest.approx(law.force_derivative(u), rel=1e-7)
             fd2 = (law.force_derivative(u + h)
                    - law.force_derivative(u - h)) / (2 * h)
-            assert fd2 == pytest.approx(law.force_second_derivative(u),
+            assert fd2 == pytest.approx(_force_second_derivative(law, u),
                                         rel=1e-6)
 
     def test_smooth_extension_below_zero(self, params):
@@ -118,11 +125,30 @@ class TestCharacteristicRoots:
         assert worst < 1e-11
 
     def test_kappa2_zero_raises(self):
+        # Only the crack-region root needs kappa2 != 0; the bonded roots
+        # exist, so the chain closes with them for every kappa2.
         p = validate(4.0, 0.0, 20.0, 0.5)
         with pytest.raises(ParameterError):
             crack_region_root(p)
         with pytest.raises(ParameterError):
-            bonded_region_roots(p)
+            characteristic_roots(p)
+        assert bonded_region_roots(p)[0] == 0
+
+    @pytest.mark.parametrize("k1,k3", [(4.0, 20.0), (0.3, 1e-4),
+                                       (100.0, 1e3), (2.0, 0.7)])
+    def test_kappa2_zero_bonded_roots(self, k1, k3):
+        # At kappa2 = 0 the quartic is z (k1 z^2 - 2 (k1 + k3) z + k1):
+        # z1 = 0 and z2 is the quadratic's decaying root, continuous with
+        # the roots at kappa2 = +-1e-12.
+        z1, z2 = bonded_region_roots(validate(k1, 0.0, k3, 0.5))
+        b = k1 + k3
+        zeta = k1 / (b + math.sqrt((b - k1) * (b + k1)))
+        assert z1 == 0
+        assert z2 == pytest.approx(zeta, rel=1e-14)
+        for k2 in (1e-12, -1e-12):
+            near = bonded_region_roots(validate(k1, k2, k3, 0.5))
+            assert near[0] == pytest.approx(z1, abs=1e-9)
+            assert near[1] == pytest.approx(z2, abs=1e-9)
 
     def test_agrees_with_mpmath(self, params):
         with mp.workdps(60):
