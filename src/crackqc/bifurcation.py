@@ -20,12 +20,14 @@ along the physical branch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .material import ForceLaw
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_STEP = 1e-3
 OVERSHOOT_FACTOR = 1.1
@@ -245,7 +247,7 @@ def trace_curve(eq: EffectiveEquation, s_max: float, h: float = DEFAULT_STEP,
             # width above two ulps of h, so the loop ends for any step size.
             splits += 1
             lo, hi = 0.0, h
-            width = 1e-15 + 4 * np.finfo(float).eps * h
+            width = 1e-15 + 4 * sys.float_info.epsilon * h
             while hi - lo > width:
                 theta = (lo + hi) / 2
                 if (step(u, P, theta)[0] > c) == (before > 0):
@@ -262,6 +264,7 @@ def trace_curve(eq: EffectiveEquation, s_max: float, h: float = DEFAULT_STEP,
         if u > limit:
             stop = "broken"
             break
+    import numpy as np  # here, so that the closed-form commands never load it
     return BifurcationCurve(samples=np.array(rows).reshape(-1, 4), h=h,
                             kink_splits=splits, stop=stop)
 
@@ -271,6 +274,7 @@ def compare_curves(curve_a: BifurcationCurve, curve_b: BifurcationCurve):
 
     Both curves must be traced with the same step so samples align.
     """
+    import numpy as np
     if curve_a.h != curve_b.h:
         raise ValueError(
             f"mismatched discretization: h={curve_a.h} vs h={curve_b.h}")

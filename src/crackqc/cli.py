@@ -3,7 +3,12 @@ fold detection, oracle cross-checks, reference-table comparison, and the
 invariant check suites.
 
 The commands only parse arguments and format output; what they compute
-lives in `effective`, `lattice`, `bifurcation` and `checks`.
+lives in `effective`, `lattice`, `bifurcation` and `checks`.  A command
+imports only the modules it runs: `lattice` (numpy and LAPACK) only under
+`coefficients --oracle`, and `checks` only in `check` and
+`reproduce-tables`, so `validate`, `limits` and `folds` never load numpy.
+The package errors `_gate` handles live in `material`, so it catches a
+chain solver's error without importing `lattice`.
 
 Exit codes: 0 all requested checks pass, 1 numerical mismatch, 2 invalid
 input.  All output is deterministic for identical inputs and seed.
@@ -21,12 +26,9 @@ from typing import Optional
 import click
 
 from . import bifurcation as bif
-from . import checks
 from . import effective as eff
-from . import lattice as lat
-from .effective import ModelKind
-from .material import (ParameterError, characteristic_roots, force_law,
-                       validate)
+from .material import (ModelKind, ParameterError, SingularJacobianError,
+                       characteristic_roots, force_law, validate)
 
 _MODEL_CHOICES = ["exact", "qc", "qqc", "fqc", "all"]
 
@@ -74,7 +76,9 @@ def _gate(k1, k2, k3, ucut):
     Every command needs the characteristic roots, so a parameter set
     without them exits 2 here; a ValueError, ArithmeticError or
     SingularJacobianError (a chain the input makes singular) raised by the
-    command's body also exits 2.
+    command's body also exits 2.  `ParameterError` and
+    `SingularJacobianError` both come from `material`, so a command that
+    never solves a chain never imports `lattice` for this gate.
     """
     try:
         params = validate(k1, k2, k3, ucut)
@@ -84,7 +88,7 @@ def _gate(k1, k2, k3, ucut):
         sys.exit(2)
     try:
         yield params
-    except (ValueError, ArithmeticError, lat.SingularJacobianError) as exc:
+    except (ValueError, ArithmeticError, SingularJacobianError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 
@@ -128,6 +132,8 @@ def cmd_validate(k1, k2, k3, ucut):
 @_json_option
 def cmd_coefficients(k1, k2, k3, ucut, m, n, model, oracle, as_json):
     """Closed-form (kappa, eta) per model, with limits and expansions."""
+    if oracle:
+        from . import lattice as lat
     with _gate(k1, k2, k3, ucut) as params:
         limits = dataclasses.asdict(eff.limits(params))
         report = {"limits": limits, "models": {}}
@@ -294,6 +300,7 @@ def cmd_reproduce_tables(perturb_k1, as_json):
     Parameters are fixed at kappa1=4, kappa2=0.4, kappa3=20, u_cut=0.5 with
     n=104 and m in {100, 96}.  Exit 0 iff every absolute error <= 1e-9.
     """
+    from . import checks
     with _gate(4.0 + perturb_k1, 0.4, 20.0, 0.5) as params:
         rows = []
         for (m, name), coefs in checks.table_coefficients(params).items():
@@ -327,6 +334,7 @@ def cmd_reproduce_tables(perturb_k1, as_json):
 @click.option("--seed", type=int, default=0, show_default=True)
 def cmd_check(k1, k2, k3, ucut, seed):
     """Run the cross-module invariant suites; exit 1 on any failure."""
+    from . import checks
     failed = False
     with _gate(k1, k2, k3, ucut) as params:
         for name, ok, detail in checks.run_suites(params, seed):

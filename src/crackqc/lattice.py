@@ -20,6 +20,10 @@ diagonal, so the chain matrix A is held in one format throughout: the
 A[i, j] at ab[KL + KU + i - j, j] and the top KL rows left free for the LU
 fill.  `band_matvec` multiplies by it and `_factorize` factors it.
 
+`dgbtrf` and `dgbtrs` come from scipy's compiled LAPACK wrapper, loaded by
+file path (see `_band_lapack`): importing `scipy.linalg` would cost a CLI
+process more than all of its own work.
+
 `oracle_coefficients` extracts (kappa, eta) by pure linear algebra on the
 same factorization (a Schur complement onto the tip unknown).  Like the
 chain and Newton, it takes everything from `material` and nothing from
@@ -28,13 +32,19 @@ chain and Newton, it takes everything from `material` and nothing from
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .kernels import HyperbolicKernel
-from .material import (EffectiveCoefficients, MaterialParams, ModelKind,
+from .material import (ConvergenceError, EffectiveCoefficients,
+                       MaterialParams, ModelKind, SingularJacobianError,
                        bonded_region_roots, characteristic_roots,
                        check_interface, force_law)
 
@@ -43,20 +53,6 @@ MAX_ITERATIONS = 50
 MAX_HALVINGS = 20
 KL = KU = 2
 DIAG = KL + KU
-
-
-class SingularJacobianError(RuntimeError):
-    """Jacobian factorization hit a (near-)zero pivot; expected at folds."""
-
-    def __init__(self, pivot_index: int, pivot_value: float):
-        super().__init__(
-            f"singular Jacobian: pivot {pivot_value:.3e} at row {pivot_index}")
-        self.pivot_index = pivot_index
-        self.pivot_value = pivot_value
-
-
-class ConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the residual tolerance."""
 
 
 def default_tail(params: MaterialParams) -> int:
@@ -266,10 +262,46 @@ def assemble_energy(config: ChainConfig, field: DisplacementField) -> float:
     return total
 
 
+def _flapack_path() -> Optional[str]:
+    """File of scipy's `linalg/_flapack` extension, found without importing
+    scipy, or None."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@functools.cache
+def _band_lapack():
+    """(dgbtrf, dgbtrs), loaded once per process.
+
+    `scipy.linalg.lapack` re-exports these two routines from the compiled
+    `_flapack` extension, which needs only numpy; importing it runs all of
+    `scipy.linalg`'s `__init__`, which loads far more.  So the extension is
+    loaded by file path under a private module name.  The public module
+    serves when it is already loaded, or when the file is missing or lacks
+    either routine.
+    """
+    path = None if "scipy.linalg.lapack" in sys.modules else _flapack_path()
+    if path is not None:
+        name = f"{__package__}._flapack"
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        if hasattr(module, "dgbtrf") and hasattr(module, "dgbtrs"):
+            return module.dgbtrf, module.dgbtrs
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    return dgbtrf, dgbtrs
+
+
 def _factorize(ab: np.ndarray):
     """Banded LU of A as a solve function; raises at a (near-)zero pivot."""
-    # Imported here so that commands that never solve a chain skip scipy.
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    dgbtrf, dgbtrs = _band_lapack()
     lu, piv, info = dgbtrf(ab, KL, KU)
     if info > 0:
         raise SingularJacobianError(info - 1, 0.0)

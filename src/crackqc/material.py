@@ -20,7 +20,10 @@ alpha = -z1 z2 and beta = z1 + z2 drive every closed-form coefficient.
 At kappa2 = 0 the quartic is z times a quadratic: z1 = 0 and z0 is undefined.
 
 `ModelKind`, `check_interface` and `EffectiveCoefficients` sit here, shared
-by the closed forms (`effective`) and the chain oracle (`lattice`).
+by the closed forms (`effective`) and the chain oracle (`lattice`).  So do
+`ParameterError` and the chain solvers' `SingularJacobianError` and
+`ConvergenceError`, so that a caller can catch all three without importing
+`lattice`.
 
 All functions accept floats or any numeric type supporting arithmetic and
 ** 0.5 (e.g. mpmath.mpf), so high-precision sweeps can reuse the same code.
@@ -40,6 +43,20 @@ class ParameterError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+class SingularJacobianError(RuntimeError):
+    """Jacobian factorization hit a (near-)zero pivot; expected at folds."""
+
+    def __init__(self, pivot_index: int, pivot_value: float):
+        super().__init__(
+            f"singular Jacobian: pivot {pivot_value:.3e} at row {pivot_index}")
+        self.pivot_index = pivot_index
+        self.pivot_value = pivot_value
+
+
+class ConvergenceError(RuntimeError):
+    """Newton iteration failed to reach the residual tolerance."""
 
 
 def _sign(x):

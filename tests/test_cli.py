@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -104,6 +105,21 @@ class TestCoefficients:
                                       "--k3", "1e300"])
         assert result.exit_code == 2
         assert "error: singular Jacobian" in result.output
+
+    def test_oracle_solver_error_exits_2(self, runner, monkeypatch):
+        # The gate catches the solver's error from `material`, where it
+        # lives, so this path needs no import of `lattice` in the CLI.
+        from crackqc import lattice
+
+        def singular(config):
+            raise crackqc.SingularJacobianError(7, 0.0)
+
+        monkeypatch.setattr(lattice, "oracle_coefficients", singular)
+        result = runner.invoke(main, ["coefficients", "--oracle"])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: singular Jacobian: pivot 0.000e+00 "
+                                 "at row 7\n")
+        assert result.stdout == ""
 
     def test_deterministic(self, runner):
         a = runner.invoke(main, ["coefficients", "--json", "--oracle"])
@@ -241,3 +257,53 @@ def test_distribution_version_matches_package():
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     assert project["name"] == "crackqc"
     assert project["version"] == crackqc.__version__
+
+
+# The public names at the time the package became lazy: the set must not
+# shrink or grow by accident.
+PUBLIC_NAMES = {
+    "BifurcationCurve", "ChainConfig", "CharacteristicRoots",
+    "CoefficientLimits", "ConvergenceError", "DisplacementField",
+    "EffectiveCoefficients", "EffectiveEquation", "ExpansionRecord",
+    "FoldPoint", "ForceLaw", "HyperbolicKernel", "KernelRangeError",
+    "MaterialParams", "ModelKind", "ParameterError",
+    "SingularJacobianError", "alpha_beta_residuals", "assemble_energy",
+    "assemble_residual", "bonded_region_roots", "chain_config",
+    "characteristic_roots", "coefficients", "compare_curves",
+    "crack_region_root", "exact_coefficients", "exact_expansions",
+    "exact_limits", "expansions", "fold_points", "force_law",
+    "fqc_coefficients", "fqc_expansions", "kernel_for", "limits",
+    "linear_system", "lipschitz_bound", "newton_solve",
+    "oracle_coefficients", "qc_coefficients", "qc_coefficients_qmatrix",
+    "qc_limit", "qqc_coefficients", "qqc_expansions",
+    "reconstruct_solution", "solve_branches", "trace_curve", "validate",
+}
+
+
+class TestLazyPackage:
+    def test_all_is_the_public_api(self):
+        assert len(crackqc.__all__) == len(set(crackqc.__all__))
+        assert set(crackqc.__all__) == PUBLIC_NAMES
+
+    def test_names_are_their_home_modules_objects(self):
+        for name in crackqc.__all__:
+            home = importlib.import_module(
+                f"crackqc.{crackqc._MODULE_OF[name]}")
+            assert getattr(crackqc, name) is getattr(home, name), name
+            assert name in dir(crackqc)
+
+    def test_solver_errors_have_one_home(self):
+        from crackqc import lattice, material
+        assert lattice.SingularJacobianError is material.SingularJacobianError
+        assert lattice.ConvergenceError is material.ConvergenceError
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from crackqc import *", namespace)
+        assert PUBLIC_NAMES <= set(namespace)
+        assert namespace["trace_curve"] is crackqc.bifurcation.trace_curve
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            crackqc.no_such_name
+        assert not hasattr(crackqc, "_no_such_private")

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -148,19 +149,136 @@ def test_chain_imports_no_closed_form():
     assert users == ["reconstruct_solution"]
 
 
-def test_import_loads_no_sparse_or_optimize():
-    # A fresh interpreter, so modules imported by other tests do not count.
-    # scipy is loaded only when a chain is factored, so a CLI command that
-    # never solves one does not pay for it.
-    code = ("import sys, crackqc.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+def _fresh_interpreter(code, cwd):
+    """Run `code` in a new interpreter with this checkout's src/ first."""
     src = str(Path(crackqc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
+
+
+# The commands of perfbench's cli-cold workload, with shorter curves.
+CLI_COLD = {
+    "validate": [],
+    "limits": [],
+    "folds": ["--model", "all"],
+    "coefficients": ["--oracle", "--json"],
+    "trace": ["--model", "exact", "--smax", "0.5", "--out", "curve.csv"],
+    "compare": ["--model", "qqc", "--smax", "0.5"],
+    "check": ["--seed", "0"],
+}
+# Importing the CLI, and these commands, need no numpy.
+CLOSED_FORM_COMMANDS = {None, "validate", "limits", "folds"}
+
+
+@pytest.mark.parametrize("command",
+                         [pytest.param(None, id="import")] + list(CLI_COLD))
+def test_import_loads_no_sparse_or_optimize(command, tmp_path):
+    # A fresh interpreter, so modules imported by other tests do not count.
+    # Importing the CLI loads no scipy.  A command loads numpy only when it
+    # solves a chain or traces a curve, and LAPACK comes from scipy's
+    # compiled wrapper alone, never through `scipy.linalg`.
+    if command is None:
+        run = "import crackqc.cli"
+    else:
+        run = (f"sys.argv = {['crackqc', command] + CLI_COLD[command]!r}; "
+               "runpy.run_module('crackqc.cli', run_name='__main__')")
+    _fresh_interpreter("import runpy, sys\n"
+                       "try:\n"
+                       f"    {run}\n"
+                       "finally:\n"
+                       "    with open('modules.txt', 'w') as out:\n"
+                       "        out.write(repr(sorted(sys.modules)))\n",
+                       tmp_path)
+    loaded = set(ast.literal_eval((tmp_path / "modules.txt").read_text()))
+    if command is None:
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert not {m for m in loaded if m.startswith(
+        ("scipy.linalg", "scipy.sparse", "scipy.optimize", "numpy.f2py"))}
+    assert ("numpy" in loaded) == (command not in CLOSED_FORM_COMMANDS)
+
+
+def _lapack_bits():
+    """Oracle (kappa, eta) and a warm-started Newton field, as float.hex
+    strings, for all four models at the reference point and 24 box cases,
+    factored with whichever LAPACK routines `lattice` has loaded."""
+    rng = np.random.default_rng(18)
+    cases = [(validate(4.0, 0.4, 20.0, 0.5), 104, 100)]
+    for _ in range(24):
+        n = int(rng.integers(20, 120))
+        cases.append((random_params(rng), n, n - int(rng.integers(3, 12))))
+    bits = []
+    for params, n, m in cases:
+        for kind in ModelKind:
+            cfg = chain_config(params, kind, n, m)
+            orc = oracle_coefficients(cfg)
+            field = newton_solve(cfg, 0.1, newton_solve(cfg, 0.05))
+            bits.append([orc.kappa.hex(), orc.eta.hex()]
+                        + [float(x).hex() for x in field.u])
+    return bits
+
+
+class TestBandLapack:
+    """`lattice` loads scipy's `_flapack` extension by file path and falls
+    back to `scipy.linalg.lapack`; both must give the same bits.  Each path
+    is taken in a fresh interpreter, where no other test has loaded
+    `scipy.linalg` first."""
+
+    @staticmethod
+    def _run(body, tmp_path_factory):
+        tests = str(Path(__file__).resolve().parent)
+        code = (f"import json, sys\nsys.path.insert(0, {tests!r})\n"
+                "from crackqc import lattice as lat\n"
+                "from test_lattice import _lapack_bits\n"
+                "report = {}\n" + body + "print(json.dumps(report))\n")
+        return json.loads(_fresh_interpreter(
+            code, tmp_path_factory.mktemp("lapack")))
+
+    @pytest.fixture(scope="class")
+    def private(self, tmp_path_factory):
+        """Bits from the private load, again after `import scipy.linalg`,
+        and from the public module once that is loaded."""
+        return self._run("""
+report["private"] = _lapack_bits()
+report["scipy_linalg_loaded"] = "scipy.linalg" in sys.modules
+import numpy as np
+import scipy.linalg
+a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+x = scipy.linalg.solve(a, np.ones(3))
+report["scipy_solve_residual"] = float(np.max(np.abs(a @ x - 1)))
+report["after_import"] = _lapack_bits()
+report["private_is_public"] = (
+    lat._band_lapack()[0] is scipy.linalg.lapack.dgbtrf)
+lat._band_lapack.cache_clear()
+report["public"] = _lapack_bits()
+report["public_is_public"] = (
+    lat._band_lapack()[0] is scipy.linalg.lapack.dgbtrf)
+""", tmp_path_factory)
+
+    def test_private_load_skips_scipy_linalg(self, private):
+        assert not private["scipy_linalg_loaded"]
+        assert not private["private_is_public"]
+        assert private["public_is_public"]
+
+    def test_both_paths_bit_identical(self, private):
+        assert len(private["private"]) == 4 * 25
+        assert private["public"] == private["private"]
+
+    def test_later_scipy_linalg_import_still_solves(self, private):
+        assert private["after_import"] == private["private"]
+        assert private["scipy_solve_residual"] < 1e-12
+
+    def test_fallback_without_private_file(self, private, tmp_path_factory):
+        report = self._run("""
+lat._flapack_path = lambda: None
+report["bits"] = _lapack_bits()
+import scipy.linalg.lapack
+report["is_public"] = lat._band_lapack()[0] is scipy.linalg.lapack.dgbtrf
+""", tmp_path_factory)
+        assert report["is_public"]
+        assert report["bits"] == private["private"]
 
 
 class TestEnergyForce:
