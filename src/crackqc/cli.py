@@ -171,8 +171,9 @@ def cmd_coefficients(k1, k2, k3, ucut, m, n, model, oracle, as_json):
             if oracle:
                 line += f"  |formula - oracle| = {_fmt(entry['oracle_diff'])}"
             click.echo(line)
-    if oracle and worst > 1e-8:
-        click.echo(f"oracle mismatch: {worst:.3e} > 1e-08", err=True)
+    if oracle and worst > lat.ORACLE_TOL:
+        click.echo(f"oracle mismatch: {worst:.3e} > {lat.ORACLE_TOL:.0e}",
+                   err=True)
         sys.exit(1)
 
 

@@ -375,6 +375,11 @@ def newton_solve(config: ChainConfig, P: float,
     return (field, history) if return_history else field
 
 
+# The largest gap between a closed form's (kappa, eta) and the oracle's that
+# `coefficients --oracle` (absolute) and `check` (relative) accept.
+ORACLE_TOL = 1e-8
+
+
 def oracle_coefficients(config: ChainConfig) -> EffectiveCoefficients:
     """(kappa, eta) extracted from the assembled chain by linear algebra.
 

@@ -6,22 +6,17 @@ fails.  Criterion 1 (reference-table reproduction) is known not to hold at
 the stated parameter set; it is implemented faithfully and fails honestly.
 """
 
-import math
 import time
 
-import mpmath as mp
 import numpy as np
-import pytest
 
 from crackqc import bifurcation as bif
+from crackqc import checks
 from crackqc import effective as eff
 from crackqc import lattice as lat
 from crackqc.checks import REFERENCE_TABLES, table_coefficients
 from crackqc.effective import ModelKind
-from crackqc.kernels import (HyperbolicKernel, crisscross_constant,
-                             crisscross_direct, identity_rela, kernel_for)
-from crackqc.material import (alpha_beta_residuals, characteristic_roots,
-                              force_law, validate)
+from crackqc.material import force_law
 
 from conftest import random_params
 
@@ -51,58 +46,33 @@ def test_criterion_1_table_reproduction(params, capsys):
 
 
 def test_criterion_2_oracle_equivalence(params, rng, capsys):
-    worst = 0.0
     # The eight table configurations, using each model's primary
-    # (oracle-consistent) coefficient formula.
-    for m in (100, 96):
-        for kind in ModelKind:
-            mm = None if kind is ModelKind.EXACT else m
-            form = eff.coefficients(params, kind, N_REF, mm)
-            orc = lat.oracle_coefficients(
-                lat.chain_config(params, kind, N_REF, mm))
-            worst = max(worst, abs(form.kappa - orc.kappa),
-                        abs(form.eta - orc.eta))
-    # 50 random configurations per model.
+    # (oracle-consistent) coefficient formula, compared absolutely.
+    worst = max(
+        checks.oracle_gap(params, kind, N_REF,
+                          None if kind is ModelKind.EXACT else m,
+                          relative=False)
+        for m in (100, 96) for kind in ModelKind)
+    # 50 random configurations per model, compared relatively.
     for _ in range(50):
         p = random_params(rng)
         m = int(rng.integers(4, 13))
         n = m + int(rng.integers(2, 9))
         for kind in ModelKind:
-            mm = None if kind is ModelKind.EXACT else m
-            form = eff.coefficients(p, kind, n, mm)
-            orc = lat.oracle_coefficients(lat.chain_config(p, kind, n, mm))
-            worst = max(worst,
-                        abs(form.kappa - orc.kappa) / abs(form.kappa),
-                        abs(form.eta - orc.eta) / abs(form.eta))
+            worst = max(worst, checks.oracle_gap(
+                p, kind, n, None if kind is ModelKind.EXACT else m))
     ok = worst <= 1e-8
     _report(capsys, 2, "oracle equivalence", ok, f"worst = {worst:.3e}")
     assert ok
 
 
 def test_criterion_3_identity_suites(params, rng, capsys):
-    worst_rela = 0.0
-    kernel = kernel_for(params)
-    for k in range(-5, 121):
-        ra, rb = identity_rela(params, kernel, k)
-        worst_rela = max(worst_rela, abs(ra), abs(rb))
-
+    worst_rela = checks.rela_residual(params, range(-5, 121))
     # The criss-cross determinant cancels beyond double precision for large
     # n, so the constancy sweep runs at 220 digits.
-    with mp.workdps(220):
-        pm = validate(mp.mpf(4), mp.mpf("0.4"), mp.mpf(20), mp.mpf("0.5"))
-        roots = characteristic_roots(pm)
-        ker = HyperbolicKernel(roots.z0)
-        const = crisscross_constant(ker, roots.alpha, roots.beta)
-        worst_cc = max(
-            float(abs(crisscross_direct(ker, roots.alpha, roots.beta, n)
-                      - const) / abs(const))
-            for n in range(1, 51))
-
-    worst_ab = 0.0
-    for _ in range(1000):
-        p = random_params(rng)
-        r1, r2 = alpha_beta_residuals(p, characteristic_roots(p))
-        worst_ab = max(worst_ab, abs(r1), abs(r2))
+    worst_cc = checks.crisscross_drift(params, range(1, 51), 220)
+    worst_ab = checks.alpha_beta_residual(
+        [random_params(rng) for _ in range(1000)])
 
     ok = worst_rela <= 1e-11 and worst_cc <= 1e-9 and worst_ab <= 1e-11
     _report(capsys, 3, "identity suites", ok,
@@ -115,37 +85,12 @@ def test_criterion_4_expansion_orders(params, capsys):
     # Regressions run on mpf-evaluated formulas: the QQC error decays as
     # z0^(2(n-m)) and drops below double roundoff by n - m = 8, so the
     # slopes over n - m in [2, 10] are only meaningful in high precision.
-    def slope(xs, ys):
-        return float(np.polyfit(np.asarray(xs, float),
-                                np.asarray(ys, float), 1)[0])
-
-    shifts = list(range(2, 11))
-    with mp.workdps(60):
-        pm = validate(mp.mpf(4), mp.mpf("0.4"), mp.mpf(20), mp.mpf("0.5"))
-        ln = float(mp.log(abs(characteristic_roots(pm).z0)))
-        kappa0, eta0 = eff.exact_limits(pm)
-        m0 = 30
-        slopes = {
-            "qqc kappa": (2 * ln, slope(shifts, [float(mp.log(abs(
-                eff.qqc_coefficients(pm, m0, m0 + k).kappa - kappa0)))
-                for k in shifts])),
-            "qqc eta": (2 * ln, slope(shifts, [float(mp.log(abs(
-                eff.qqc_coefficients(pm, m0, m0 + k).eta - eta0)))
-                for k in shifts])),
-            "fqc kappa": (ln, slope(shifts, [float(mp.log(abs(
-                eff.fqc_coefficients(pm, m0, m0 + k).kappa - kappa0)))
-                for k in shifts])),
-            "fqc eta": (ln, slope(shifts, [float(mp.log(abs(
-                eff.fqc_coefficients(pm, m0, m0 + k).eta - eta0)))
-                for k in shifts])),
-            "exact kappa": (2 * ln, slope(shifts, [float(mp.log(abs(
-                eff.exact_coefficients(pm, n).kappa - kappa0)))
-                for n in range(6, 15)])),
-        }
+    slopes = checks.decay_slopes(params, range(2, 11))
     slopes_ok = all(abs(got - want) <= 0.05 * abs(want)
-                    for want, got in slopes.values())
+                    for got, want in slopes.values())
 
     # Finite ghost-force gap of the interface-matrix QC variant.
+    m0 = 30
     _, eta0_d = eff.exact_limits(params)
     eta0_qc, gap = eff.qc_limit(params)
     gap_ok = all(
@@ -155,7 +100,7 @@ def test_criterion_4_expansion_orders(params, capsys):
 
     ok = slopes_ok and gap_ok
     detail = ", ".join(f"{name} {got:.3f}/{want:.3f}"
-                       for name, (want, got) in slopes.items())
+                       for name, (got, want) in slopes.items())
     _report(capsys, 4, "expansion orders", ok,
             detail + f", ghost gap {'held' if gap_ok else 'violated'}")
     assert ok
@@ -169,23 +114,13 @@ def test_criterion_5_energy_force_consistency(params, rng, capsys):
         for _ in range(20):
             u = 0.02 * rng.standard_normal(cfg.j_max + 1)
             P = float(rng.uniform(-0.5, 0.5))
-            resid = lat.assemble_residual(cfg, lat.DisplacementField(u, P))
-            h = 1e-6
-            for j in range(0, cfg.j_max - 1, 4):
-                up, um = u.copy(), u.copy()
-                up[j] += h
-                um[j] -= h
-                grad = (lat.assemble_energy(cfg,
-                                            lat.DisplacementField(up, P))
-                        - lat.assemble_energy(
-                            cfg, lat.DisplacementField(um, P))) / (2 * h)
-                worst = max(worst, abs(grad + resid[j])
-                            / max(1.0, abs(resid[j])))
+            worst = max(worst, checks.gradient_mismatch(
+                cfg, lat.DisplacementField(u, P), 4))
     fqc_ok = not ModelKind.FQC.has_energy
     try:
         cfg = lat.chain_config(params, ModelKind.FQC, 25, 15, 70)
-        lat.assemble_energy(cfg, lat.DisplacementField(
-            np.zeros(cfg.j_max + 1), 0.0))
+        checks.gradient_mismatch(cfg, lat.DisplacementField(
+            np.zeros(cfg.j_max + 1), 0.0), 4)
         fqc_ok = False
     except ValueError:
         pass

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -7,7 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 import crackqc
+from crackqc import checks
+from crackqc import effective as eff
 from crackqc.cli import main
+from crackqc.material import validate
 
 
 @pytest.fixture
@@ -249,6 +253,44 @@ class TestCheck:
         a = runner.invoke(main, ["check", "--seed", "7"])
         b = runner.invoke(main, ["check", "--seed", "7"])
         assert a.output == b.output
+
+    @pytest.mark.parametrize("k2", ["20", "100"])
+    def test_large_kappa2_ratio_passes(self, runner, k2):
+        # At k2/k1 = 5 and 25, |z0| = 0.64 and 0.82: over shifts 2..10 the
+        # next order of the FQC eta expansion bent the fitted slope by more
+        # than 5%.
+        result = runner.invoke(main, ["check", "--k1", "4", "--k2", k2])
+        assert result.exit_code == 0
+        assert result.output.count(": PASS\n") == 4
+
+    def test_oracle_mismatch_exits_1(self, runner, monkeypatch):
+        # A closed-form kappa 1e-6 off the oracle fails the oracle suite
+        # alone; the other suites still run and report.
+        closed_form = eff.coefficients
+
+        def shifted(*args):
+            coefs = closed_form(*args)
+            return dataclasses.replace(coefs, kappa=coefs.kappa * (1 + 1e-6))
+
+        monkeypatch.setattr(eff, "coefficients", shifted)
+        result = runner.invoke(main, ["check"])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "identities: PASS", "energy-force: PASS",
+            "oracle-equivalence: FAIL (exact oracle gap 1.000e-06)",
+            "expansion-orders: PASS"]
+
+    # Corners of the admissible domain: k2 < 0, k2/k1 up to 300 (|z0| up to
+    # 0.94) and k3 from 1e-3 to 500.
+    @pytest.mark.parametrize("k1,k2,k3", [
+        (4.0, 0.4, 20.0), (0.5, -0.05, 1e-3), (4.0, -0.8, 1e-3),
+        (4.0, 18.0, 500.0), (0.5, 2.5, 1e-3), (50.0, 250.0, 500.0),
+        (4.0, 100.0, 20.0), (50.0, 1250.0, 1e-3), (0.5, 150.0, 500.0),
+        (4.0, 1200.0, 20.0)])
+    def test_expansion_slopes_across_domain(self, k1, k2, k3):
+        ok, detail = checks._suite_expansion_orders(
+            validate(k1, k2, k3, 0.5), None)
+        assert ok, detail
 
 
 def test_distribution_version_matches_package():

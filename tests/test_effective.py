@@ -172,21 +172,6 @@ class TestFQC:
 
 
 class TestOracleEquivalence:
-    def test_fifty_random_configs_per_model(self, rng):
-        # Formula (kappa, eta) match the assembled-chain oracle to 1e-8
-        # relative for 50 random configurations of every model.
-        for _ in range(50):
-            p = random_params(rng)
-            m = int(rng.integers(4, 13))
-            n = m + int(rng.integers(2, 9))
-            for kind in ModelKind:
-                mm = None if kind is ModelKind.EXACT else m
-                cfg = lat.chain_config(p, kind, n, mm)
-                orc = lat.oracle_coefficients(cfg)
-                form = eff.coefficients(p, kind, n, mm)
-                assert form.kappa == pytest.approx(orc.kappa, rel=1e-8), kind
-                assert form.eta == pytest.approx(orc.eta, rel=1e-8), kind
-
     @settings(max_examples=300, deadline=None)
     @given(log_k1=st.floats(-1, 2),
            ratio=st.one_of(

@@ -1,9 +1,10 @@
 import mpmath as mp
 import pytest
 
+from crackqc.checks import rela_residual
 from crackqc.kernels import (HyperbolicKernel, KernelRangeError,
                              crisscross_constant, crisscross_direct,
-                             identity_rela, kernel_for)
+                             kernel_for)
 from crackqc.material import characteristic_roots, crack_region_root, validate
 
 from conftest import random_params
@@ -148,11 +149,7 @@ class TestIdentities:
         # rela residuals stay below 1e-11 for k in [-5, 120].
         for _ in range(20):
             p = random_params(rng)
-            kernel = kernel_for(p)
-            for k in range(-5, 121):
-                ra, rb = identity_rela(p, kernel, k)
-                assert abs(ra) < 1e-11
-                assert abs(rb) < 1e-11
+            assert rela_residual(p, range(-5, 121)) < 1e-11
 
     def test_kn_product_small_indices_double(self, params):
         kernel = kernel_for(params)
@@ -187,16 +184,6 @@ class TestCrissCross:
         const = crisscross_constant(kernel, roots.alpha, roots.beta)
         direct = crisscross_direct(kernel, roots.alpha, roots.beta, 1)
         assert direct == pytest.approx(const, rel=1e-12)
-
-    def test_independent_of_n_mpmath(self):
-        # The determinant is n-independent; doubles lose it beyond n = 2,
-        # so the sweep over n in [1, 50] runs at 220 digits.
-        with mp.workdps(220):
-            _, roots, kernel = _mp_setup()
-            const = crisscross_constant(kernel, roots.alpha, roots.beta)
-            for n in range(1, 51):
-                direct = crisscross_direct(kernel, roots.alpha, roots.beta, n)
-                assert abs(direct - const) < mp.mpf("1e-9") * abs(const)
 
     def test_double_precision_loses_it_at_large_n(self, params):
         # Documents why the high-precision path exists: in doubles the

@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from crackqc.material import (ForceLaw, ParameterError, alpha_beta_residuals,
-                              bonded_region_roots, characteristic_roots,
-                              crack_region_root, force_law, validate)
+from crackqc.material import (ForceLaw, ParameterError, bonded_region_roots,
+                              characteristic_roots, crack_region_root,
+                              force_law, validate)
 
 from conftest import random_params
 
@@ -114,15 +114,6 @@ class TestCharacteristicRoots:
                 assert abs(z) <= 1
                 assert abs(resid) < 1e-11 * 2 * (p.kappa1 + p.kappa2
                                                  + p.kappa3)
-
-    def test_alpha_beta_relations_random(self, rng):
-        # Both factorization relations hold to 1e-11 for 1000 random sets.
-        worst = 0.0
-        for _ in range(1000):
-            p = random_params(rng)
-            r1, r2 = alpha_beta_residuals(p, characteristic_roots(p))
-            worst = max(worst, abs(r1), abs(r2))
-        assert worst < 1e-11
 
     def test_kappa2_zero_raises(self):
         # Only the crack-region root needs kappa2 != 0; the bonded roots
