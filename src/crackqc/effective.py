@@ -79,7 +79,17 @@ class ExpansionRecord:
 
 
 class _Context:
-    """Shared per-parameter quantities, computed once."""
+    """Shared per-parameter quantities: roots, kernel and both (A, B) pairs.
+
+    Sweeps evaluate many tip indices for one parameter set, so `_context`
+    keeps the last context built.  Its key is the `MaterialParams`, the type
+    of each stiffness, and the working precision of the mpmath context that
+    `delta_disc` carries (None for floats; `delta_disc` is formed from all
+    three stiffnesses, so it is an mpf whenever any of them is).  Type and
+    precision belong in the key because equal values do not give equal
+    results: `mpf(4) == 4.0` with equal hashes, and the same mpf params
+    evaluated at 20 and at 60 digits give different roots.
+    """
 
     def __init__(self, params: MaterialParams):
         self.params = params
@@ -90,6 +100,23 @@ class _Context:
         self.abm1 = self.alpha + self.beta - 1
         self.a_alpha, self.b_alpha = self.kernel.ab(self.alpha)
         self.a_1mb, self.b_1mb = self.kernel.ab(1 - self.beta)
+
+
+# (key, context) of the last `_context` call, replaced in one statement so
+# that a reader never pairs one call's key with another call's context.
+_memo = (None, None)
+
+
+def _context(params: MaterialParams) -> _Context:
+    global _memo
+    key = (params, type(params.kappa1), type(params.kappa2),
+           type(params.kappa3),
+           getattr(getattr(params.delta_disc, "context", None), "prec", None))
+    memo_key, ctx = _memo
+    if memo_key != key:
+        ctx = _Context(params)
+        _memo = (key, ctx)
+    return ctx
 
 
 def _solve2(m11, m12, m21, m22, r1, r2):
@@ -114,7 +141,7 @@ def exact_coefficients(params: MaterialParams, n: int) -> EffectiveCoefficients:
     """
     if n < 1:
         raise ValueError(f"exact model requires n >= 1, got n={n}")
-    ctx = _Context(params)
+    ctx = _context(params)
     k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
     ker = ctx.kernel
     fa, _ = ker.fg_scaled(n, ctx.alpha)
@@ -138,7 +165,7 @@ def exact_coefficients(params: MaterialParams, n: int) -> EffectiveCoefficients:
 
 def exact_limits(params: MaterialParams):
     """(kappa0, eta0): the macroscopic-crack limits of the exact model."""
-    ctx = _Context(params)
+    ctx = _context(params)
     k1, k2 = params.kappa1, params.kappa2
     denom = ctx.a_alpha + ctx.b_alpha
     kappa0 = ctx.abm1 * (k1 + k2 * (1 + ctx.beta)
@@ -155,7 +182,7 @@ def exact_expansions(params: MaterialParams, n: int):
     Fhat(n, .) = (A+B)/2 + (A-B)/2 z0^(2n) in the coefficient formulas and
     are confirmed by high-precision sweeps.
     """
-    ctx = _Context(params)
+    ctx = _context(params)
     denom = ctx.a_alpha + ctx.b_alpha
     kappa_rec = ExpansionRecord(
         ModelKind.EXACT, "kappa",
@@ -181,7 +208,7 @@ def qc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoeffici
     b = -P / kappa_bar.  Matches the lattice oracle to machine precision.
     """
     check_interface(ModelKind.QC, m, n)
-    ctx = _Context(params)
+    ctx = _context(params)
     k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
     ker = ctx.kernel
     k = n - m
@@ -218,7 +245,7 @@ def qc_matrix(params: MaterialParams):
     k2, kbar = params.kappa2, params.kappa_bar
     if k2 == 0:
         raise ValueError("qc_matrix requires kappa2 != 0")
-    ker = HyperbolicKernel(characteristic_roots(params).z0)
+    ker = _context(params).kernel
     gamma = qc_gamma(params)
     cm1 = ker.c1 - 1
     s1 = ker.s1
@@ -240,7 +267,7 @@ def qc_coefficients_qmatrix(params: MaterialParams, m: int, n: int):
     primary path.
     """
     check_interface(ModelKind.QC, m, n)
-    ctx = _Context(params)
+    ctx = _context(params)
     k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
     ker = ctx.kernel
     (q11_, q12_), (q21_, q22_) = qc_matrix(params)[0]
@@ -286,7 +313,7 @@ def qc_limit(params: MaterialParams):
 def qqc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoefficients:
     """(kappa, eta) of the quasi-nonlocal coupling at shift k = n - m + 1."""
     check_interface(ModelKind.QQC, m, n)
-    ctx = _Context(params)
+    ctx = _context(params)
     k1, k2 = params.kappa1, params.kappa2
     ker = ctx.kernel
     k = n - m + 1
@@ -308,7 +335,7 @@ def qqc_expansions(params: MaterialParams, m: int, n: int):
     is the exact-model term with opposite sign.  Confirmed by
     high-precision sweeps.
     """
-    ctx = _Context(params)
+    ctx = _context(params)
     denom = ctx.a_alpha + ctx.b_alpha
     kappa_rec = ExpansionRecord(
         ModelKind.QQC, "kappa",
@@ -329,7 +356,7 @@ def fqc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoeffic
     The shared denominator is D = G_{n-m,alpha} - (1 + alpha) sinh delta.
     """
     check_interface(ModelKind.FQC, m, n)
-    ctx = _Context(params)
+    ctx = _context(params)
     k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
     ker = ctx.kernel
     k = n - m
@@ -363,7 +390,7 @@ def fqc_expansions(params: MaterialParams, m: int, n: int):
 
     Confirmed by high-precision sweeps.
     """
-    ctx = _Context(params)
+    ctx = _context(params)
     k2, kbar = params.kappa2, params.kappa_bar
     denom = ctx.a_alpha + ctx.b_alpha
     s1 = ctx.kernel.s1

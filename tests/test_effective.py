@@ -336,3 +336,62 @@ class TestExpansions:
                 lead = r.leading_coefficient * z0 ** self._power(r, n, m)
                 measured = getattr(coefs, r.quantity) - ref
                 assert 1 / 1.5 < measured / lead < 1.5, (kind, r.quantity)
+
+
+class TestContextMemo:
+    """The closed forms keep the last parameter set's roots, kernel and
+    (A, B) pairs.  A reused context must give exactly what a fresh one
+    gives, whatever came before: another set, another number type, or the
+    same mpf values at another working precision."""
+
+    @staticmethod
+    def _all_models(p, n):
+        return [eff.coefficients(p, kind, n,
+                                 None if kind is ModelKind.EXACT else n - 4)
+                for kind in ModelKind]
+
+    def _cold(self, monkeypatch, p, n):
+        monkeypatch.setattr(eff, "_memo", (None, None))
+        return self._all_models(p, n)
+
+    def test_same_mpf_params_at_a_new_precision(self, monkeypatch):
+        pm = validate(mp.mpf(4), mp.mpf("0.4"), mp.mpf(20), mp.mpf("0.5"))
+        with mp.workdps(20):
+            low = self._all_models(pm, 30)
+        with mp.workdps(60):
+            high = self._all_models(pm, 30)
+            fresh = self._cold(monkeypatch, pm, 30)
+        assert high == fresh
+        assert all(h.kappa != lo.kappa for h, lo in zip(high, low))
+
+    def test_float_params_after_equal_valued_params(self, monkeypatch):
+        # Equal values and equal hashes, so a key of the params alone
+        # would hand the float set the other set's context.
+        values = (4, "0.5", 20, "0.5")
+        pf = validate(*map(float, values))
+        cold = self._cold(monkeypatch, pf, 30)
+        for num in (mp.mpf, np.float64):
+            prior = validate(*(num(v) for v in values))
+            assert prior == pf and hash(prior) == hash(pf)
+            self._cold(monkeypatch, prior, 30)
+            for w, c in zip(self._all_models(pf, 30), cold):
+                assert type(w.kappa) is float and type(w.eta) is float
+                assert ((w.kappa.hex(), w.eta.hex())
+                        == (c.kappa.hex(), c.eta.hex()))
+
+    def test_interleaved_sets_match_cold(self, rng, monkeypatch):
+        sets = [random_params(rng) for _ in range(20)]
+        window = range(40, 48)
+
+        def bits(p, n, cold=False):
+            coefs = (self._cold(monkeypatch, p, n) if cold
+                     else self._all_models(p, n))
+            return [(c.kappa.hex(), c.eta.hex()) for c in coefs]
+
+        ref = {(i, n): bits(p, n, cold=True)
+               for i, p in enumerate(sets) for n in window}
+        for a in range(len(sets)):
+            b = (a + 1) % len(sets)
+            for i in (a, b, a):
+                for n in window:
+                    assert bits(sets[i], n) == ref[i, n], (i, n)

@@ -5,7 +5,7 @@ from crackqc.checks import rela_residual
 from crackqc.kernels import (HyperbolicKernel, KernelRangeError,
                              crisscross_constant, crisscross_direct,
                              kernel_for)
-from crackqc.material import characteristic_roots, crack_region_root, validate
+from crackqc.material import characteristic_roots, validate
 
 from conftest import random_params
 

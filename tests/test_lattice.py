@@ -199,6 +199,8 @@ def test_import_loads_no_sparse_or_optimize(command, tmp_path):
     assert not {m for m in loaded if m.startswith(
         ("scipy.linalg", "scipy.sparse", "scipy.optimize", "numpy.f2py"))}
     assert ("numpy" in loaded) == (command not in CLOSED_FORM_COMMANDS)
+    if command in CLOSED_FORM_COMMANDS:
+        assert "mpmath" not in loaded
 
 
 def _lapack_bits():

@@ -1,7 +1,6 @@
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from crackqc.material import (ForceLaw, ParameterError, bonded_region_roots,
