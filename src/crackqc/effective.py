@@ -43,6 +43,8 @@ both and are not implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Optional
 
 from .kernels import HyperbolicKernel
@@ -50,6 +52,10 @@ from .material import (EffectiveCoefficients, MaterialParams, ModelKind,
                        characteristic_roots, check_interface)
 
 CROSS_CHECK_TOL = 1e-10
+# Entries per index table of a context: a 32-index window at a fixed gap
+# needs about 70 powers, and the bound keeps a long sweep at one parameter
+# set in constant memory.
+INDEX_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class ExpansionRecord:
 
 
 class _Context:
-    """Shared per-parameter quantities: roots, kernel and both (A, B) pairs.
+    """Everything the closed forms know about one parameter set.
 
     Sweeps evaluate many tip indices for one parameter set, so `_context`
     keeps the last context built.  Its key is the `MaterialParams`, the type
@@ -89,33 +95,129 @@ class _Context:
     precision belong in the key because equal values do not give equal
     results: `mpf(4) == 4.0` with equal hashes, and the same mpf params
     evaluated at 20 and at 60 digits give different roots.
+
+    A context holds two things.  First, every per-parameter constant of the
+    closed forms and their expansions, each formed in the operation order
+    the formulas below use, so hoisting it moves no bit.  QC's constants
+    and interface matrix are built on first use: QC's gamma has a pole at
+    kappa1 + 4.5 kappa2 = 0, where the other models stay finite.  Second,
+    a memo of z0^k and of the scaled kernels at index k, keyed on the
+    integer k and cleared when it reaches INDEX_MEMO_SIZE entries.  The
+    approximations depend on n and m only through n - m, so a window at a
+    fixed gap evaluates their kernels once, and the exact model at n + 1
+    reuses z0^(2n) and z0^(2n+2) from n.  The memo lives here rather than
+    on `HyperbolicKernel`, which stays stateless for the callers that use
+    it across precision changes; a context never sees a precision change,
+    because `_context` builds a new one.
     """
 
-    def __init__(self, params: MaterialParams):
-        self.params = params
-        self.roots = characteristic_roots(params)
-        self.kernel = HyperbolicKernel(self.roots.z0)
-        self.alpha = self.roots.alpha
-        self.beta = self.roots.beta
-        self.abm1 = self.alpha + self.beta - 1
-        self.a_alpha, self.b_alpha = self.kernel.ab(self.alpha)
-        self.a_1mb, self.b_1mb = self.kernel.ab(1 - self.beta)
+    def __init__(self, params: MaterialParams, key):
+        self.params, self.key, self.prec = params, key, key[-1]
+        k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
+        roots = characteristic_roots(params)
+        self.kernel = HyperbolicKernel(roots.z0)
+        self.alpha = alpha = roots.alpha
+        self.beta = beta = roots.beta
+        self.abm1 = alpha + beta - 1
+        self.one_minus_beta = 1 - beta
+        self.c1, self.s1 = self.kernel.c1, self.kernel.s1
+        self.a_alpha, self.b_alpha = self.kernel.ab(alpha)
+        self.a_1mb, self.b_1mb = self.kernel.ab(self.one_minus_beta)
+        self.ab_alpha = self.a_alpha + self.b_alpha
+        self.ab_1mb = self.a_1mb + self.b_1mb
+        # k1 + k2 (beta + 1), the head of every kappa.
+        self.kappa_head = k1 + k2 * (beta + 1)
+        # kbar + (beta - 2) k2, the head of QC's eta and FQC's tip term.
+        self.kbar_tip = kbar + (beta - 2) * k2
+        self.k2_kbar = k2 / kbar
+        # Fixed factors of the z0^n and z0^k terms of exact and FQC.
+        self.exact_eta_tail = (2 * k2 / kbar) * self.abm1 * (self.c1 - 1)
+        self.opa_s1 = (1 + alpha) * self.s1
+        self.fqc_kappa_tip = self.abm1 * self.kbar_tip * self.s1
+        self.fqc_eta_head = 1 + (beta - 2) * k2 / kbar
+        self.fqc_eta_gb = (1 + alpha) * self.k2_kbar
+        # (kappa0, eta0), the exact model's n -> infinity limits.
+        self.exact_limits = (
+            self.abm1 * (self.kappa_head + k2 * self.ab_1mb / self.ab_alpha),
+            1 - self.abm1 / self.ab_alpha)
+        self._powers, self._kernels = {}, {}
+
+    @cached_property
+    def qc(self):
+        """The interface-elimination constants of `qc_coefficients`."""
+        k1, k2, kbar = (self.params.kappa1, self.params.kappa2,
+                        self.params.kappa_bar)
+        gamma = qc_gamma(self.params)
+        c1, s1 = self.c1, self.s1
+        c2, s2 = 2 * c1 * c1 - 1, 2 * s1 * c1
+        ke = k1 + gamma * k2 / 2
+        x1 = ke * (c1 - 1) + k2 * (c2 - 1)
+        y1 = ke * s1 + k2 * s2
+        b1 = ke + 2 * k2
+        return SimpleNamespace(
+            m12=self.a_alpha - self.b_alpha, m21=x1 + y1, m22=x1 - y1,
+            rhs_p=((1 + self.alpha) / kbar, b1 / kbar - gamma),
+            fb_minus=self.a_1mb - self.b_1mb,
+            kappa_const=self.abm1 * self.kappa_head,
+            eta_const=self.kbar_tip / kbar)
+
+    @cached_property
+    def qc_matrix(self):
+        """(Q, gamma) of `qc_matrix`."""
+        k2, kbar = self.params.kappa2, self.params.kappa_bar
+        gamma = qc_gamma(self.params)
+        cm1 = self.c1 - 1
+        s1 = self.s1
+        q11 = (4 - 3 * gamma) / (4 * k2 * cm1)
+        q12 = 3 * gamma / (4 * k2 * s1)
+        q21 = (2 - gamma) * kbar / (4 * k2 * cm1)
+        q22 = ((gamma + 2) * kbar - 4 * k2) / (4 * k2 * s1)
+        return ((q11, q12), (q21, q22)), gamma
+
+    def pow(self, k: int):
+        """z0^k, memoized."""
+        p = self._powers.get(k)
+        if p is None:
+            if len(self._powers) >= INDEX_MEMO_SIZE:
+                self._powers.clear()
+            p = self._powers[k] = self.kernel.pow(k)
+        return p
+
+    def kernels(self, k: int):
+        """(Fhat_alpha, Ghat_alpha, Fhat_1-beta, Ghat_1-beta, Chat, Shat) at
+        index k, memoized: `HyperbolicKernel.fg_scaled` for rho = alpha and
+        rho = 1 - beta, and `chat`/`shat`, from three memoized powers."""
+        entry = self._kernels.get(k)
+        if entry is None:
+            if len(self._kernels) >= INDEX_MEMO_SIZE:
+                self._kernels.clear()
+            powers = (self.pow(2 * k + 2), self.pow(2 * k),
+                      self.pow(2 * k - 2))
+            chats = [(1 + p) / 2 for p in powers]
+            shats = [(1 - p) / 2 for p in powers]
+            entry = self._kernels[k] = (
+                *self.kernel.fg_from_scaled(self.alpha, chats, shats),
+                *self.kernel.fg_from_scaled(self.one_minus_beta, chats, shats),
+                chats[1], shats[1])
+        return entry
 
 
-# (key, context) of the last `_context` call, replaced in one statement so
-# that a reader never pairs one call's key with another call's context.
-_memo = (None, None)
+# The last context built, replaced in one statement.
+_memo: Optional[_Context] = None
 
 
 def _context(params: MaterialParams) -> _Context:
     global _memo
+    prec = getattr(getattr(params.delta_disc, "context", None), "prec", None)
+    ctx = _memo
+    # A sweep passes the same params object each time: identity and
+    # precision settle it without building and comparing the full key.
+    if ctx is not None and ctx.params is params and ctx.prec == prec:
+        return ctx
     key = (params, type(params.kappa1), type(params.kappa2),
-           type(params.kappa3),
-           getattr(getattr(params.delta_disc, "context", None), "prec", None))
-    memo_key, ctx = _memo
-    if memo_key != key:
-        ctx = _Context(params)
-        _memo = (key, ctx)
+           type(params.kappa3), prec)
+    if ctx is None or ctx.key != key:
+        ctx = _memo = _Context(params, key)
     return ctx
 
 
@@ -142,21 +244,20 @@ def exact_coefficients(params: MaterialParams, n: int) -> EffectiveCoefficients:
     if n < 1:
         raise ValueError(f"exact model requires n >= 1, got n={n}")
     ctx = _context(params)
-    k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
-    ker = ctx.kernel
-    fa, _ = ker.fg_scaled(n, ctx.alpha)
-    fb, _ = ker.fg_scaled(n, 1 - ctx.beta)
-    kappa = ctx.abm1 * (k1 + k2 * (ctx.beta + 1) + k2 * fb / fa)
-    eta = 1 - ctx.abm1 * (ker.chat(n) - ker.pow(n)) / fa
+    k2 = params.kappa2
+    fa, _, fb, _, chat, _ = ctx.kernels(n)
+    zn = ctx.pow(n)
+    kappa = ctx.abm1 * (ctx.kappa_head + k2 * fb / fa)
+    eta = 1 - ctx.abm1 * (chat - zn) / fa
 
     # Long form: the collapse combination plus the criss-cross determinant
     # term, which is n-independent up to the z0^n factor.  (A fully expanded
     # variant of this route in circulation carries a constant-term error of
     # exactly kappa2 / kappa_bar; this assembled form is the consistent
     # one.)
-    eta_long = (1 + (k2 / kbar) * ((ctx.beta - 2) * fa
+    eta_long = (1 + ctx.k2_kbar * ((ctx.beta - 2) * fa
                                    + (1 + ctx.alpha) * fb) / fa
-                - (2 * k2 / kbar) * ctx.abm1 * (ker.c1 - 1) * ker.pow(n) / fa)
+                - ctx.exact_eta_tail * zn / fa)
     if _rel_diff(eta, eta_long) > CROSS_CHECK_TOL:
         raise ArithmeticError(
             f"eta evaluations disagree: {eta} vs {eta_long}")
@@ -165,13 +266,7 @@ def exact_coefficients(params: MaterialParams, n: int) -> EffectiveCoefficients:
 
 def exact_limits(params: MaterialParams):
     """(kappa0, eta0): the macroscopic-crack limits of the exact model."""
-    ctx = _context(params)
-    k1, k2 = params.kappa1, params.kappa2
-    denom = ctx.a_alpha + ctx.b_alpha
-    kappa0 = ctx.abm1 * (k1 + k2 * (1 + ctx.beta)
-                         + k2 * (ctx.a_1mb + ctx.b_1mb) / denom)
-    eta0 = 1 - ctx.abm1 / denom
-    return kappa0, eta0
+    return _context(params).exact_limits
 
 
 def exact_expansions(params: MaterialParams, n: int):
@@ -183,10 +278,10 @@ def exact_expansions(params: MaterialParams, n: int):
     are confirmed by high-precision sweeps.
     """
     ctx = _context(params)
-    denom = ctx.a_alpha + ctx.b_alpha
+    denom = ctx.ab_alpha
     kappa_rec = ExpansionRecord(
         ModelKind.EXACT, "kappa",
-        -2 * ctx.abm1 ** 2 * params.kappa_bar * ctx.kernel.s1 / denom ** 2,
+        -2 * ctx.abm1 ** 2 * params.kappa_bar * ctx.s1 / denom ** 2,
         (2, 0, 0))
     eta_rec = ExpansionRecord(
         ModelKind.EXACT, "eta", 2 * ctx.abm1 / denom, (1, 0, 0))
@@ -196,7 +291,18 @@ def exact_expansions(params: MaterialParams, n: int):
 # Energy-based QC.
 
 def qc_gamma(params: MaterialParams):
-    return params.kappa_bar / (params.kappa_bar + params.kappa2 / 2)
+    """gamma = kappa_bar / (kappa_bar + kappa2 / 2) of the QC interface.
+
+    Its pole kappa1 + 4.5 kappa2 = 0 lies inside the admissible set (for
+    instance kappa1 = 4.5, kappa2 = -1, small kappa3); QC is undefined there.
+    """
+    kbar = params.kappa_bar
+    den = kbar + params.kappa2 / 2
+    if den == 0:
+        raise ValueError("QC is undefined at kappa1 + 4.5*kappa2 = 0: "
+                         "gamma = kappa_bar / (kappa_bar + kappa2/2) "
+                         "has a pole there")
+    return kbar / den
 
 
 def qc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoefficients:
@@ -209,32 +315,17 @@ def qc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoeffici
     """
     check_interface(ModelKind.QC, m, n)
     ctx = _context(params)
-    k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
-    ker = ctx.kernel
-    k = n - m
-    zk = ker.pow(k)
-    gamma = qc_gamma(params)
-    c1, s1 = ker.c1, ker.s1
-    c2, s2 = 2 * c1 * c1 - 1, 2 * s1 * c1
-    ke = k1 + gamma * k2 / 2
-    x1 = ke * (c1 - 1) + k2 * (c2 - 1)
-    y1 = ke * s1 + k2 * s2
-    b1 = ke + 2 * k2
-
-    m11 = ctx.a_alpha + ctx.b_alpha
-    m12 = (ctx.a_alpha - ctx.b_alpha) * zk
-    m21 = (x1 + y1) * zk
-    m22 = x1 - y1
+    k2 = params.kappa2
+    qc = ctx.qc
+    zk = ctx.pow(n - m)
+    m11, m12, m21, m22 = ctx.ab_alpha, qc.m12 * zk, qc.m21 * zk, qc.m22
     xu, yu = _solve2(m11, m12, m21, m22, ctx.abm1, 0.0)
-    xp, yp = _solve2(m11, m12, m21, m22,
-                     (1 + ctx.alpha) / kbar, b1 / kbar - gamma)
+    xp, yp = _solve2(m11, m12, m21, m22, *qc.rhs_p)
 
-    fb_plus = ctx.a_1mb + ctx.b_1mb
-    fb_minus = (ctx.a_1mb - ctx.b_1mb) * zk
-    kappa = (ctx.abm1 * (k1 + k2 * (1 + ctx.beta))
-             + k2 * (fb_plus * xu + fb_minus * yu))
-    eta = ((kbar + (ctx.beta - 2) * k2) / kbar
-           + k2 * (fb_plus * xp + fb_minus * yp))
+    fb_plus = ctx.ab_1mb
+    fb_minus = qc.fb_minus * zk
+    kappa = qc.kappa_const + k2 * (fb_plus * xu + fb_minus * yu)
+    eta = qc.eta_const + k2 * (fb_plus * xp + fb_minus * yp)
     return EffectiveCoefficients(ModelKind.QC, kappa, eta, n, m)
 
 
@@ -242,18 +333,9 @@ def qc_matrix(params: MaterialParams):
     """The 2x2 interface matrix Q of the alternative QC closed form, and
     gamma.  Entries are finite because cosh delta = -1 - kappa1/(2 kappa2)
     never equals 1 under the validity conditions."""
-    k2, kbar = params.kappa2, params.kappa_bar
-    if k2 == 0:
+    if params.kappa2 == 0:
         raise ValueError("qc_matrix requires kappa2 != 0")
-    ker = _context(params).kernel
-    gamma = qc_gamma(params)
-    cm1 = ker.c1 - 1
-    s1 = ker.s1
-    q11 = (4 - 3 * gamma) / (4 * k2 * cm1)
-    q12 = 3 * gamma / (4 * k2 * s1)
-    q21 = (2 - gamma) * kbar / (4 * k2 * cm1)
-    q22 = ((gamma + 2) * kbar - 4 * k2) / (4 * k2 * s1)
-    return ((q11, q12), (q21, q22)), gamma
+    return _context(params).qc_matrix
 
 
 def qc_coefficients_qmatrix(params: MaterialParams, m: int, n: int):
@@ -268,24 +350,20 @@ def qc_coefficients_qmatrix(params: MaterialParams, m: int, n: int):
     """
     check_interface(ModelKind.QC, m, n)
     ctx = _context(params)
-    k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
-    ker = ctx.kernel
-    (q11_, q12_), (q21_, q22_) = qc_matrix(params)[0]
-    gamma = qc_gamma(params)
+    k2, kbar = params.kappa2, params.kappa_bar
+    ((q11_, q12_), (q21_, q22_)), gamma = ctx.qc_matrix
     k = n - m
-    zk = ker.pow(k)
-    fa, ga = ker.fg_scaled(k, ctx.alpha)
-    fb, gb = ker.fg_scaled(k, 1 - ctx.beta)
+    zk = ctx.pow(k)
+    fa, ga, fb, gb, chat, shat = ctx.kernels(k)
     denom = q12_ * fa + q22_ * ga + (1 + ctx.alpha) * zk
-    kappa = (ctx.abm1 * (k1 + k2 * (1 + ctx.beta)
-                         + k2 * (q12_ * fb + q22_ * gb) / denom)
-             - ctx.abm1 * (kbar + (ctx.beta - 2) * k2) * zk / denom)
+    kappa = (ctx.abm1 * (ctx.kappa_head + k2 * (q12_ * fb + q22_ * gb) / denom)
+             - ctx.abm1 * ctx.kbar_tip * zk / denom)
     ra = q11_ * fa + q21_ * ga
     eta = (ra * kbar / denom
-           - ctx.abm1 * kbar * (q11_ * ker.chat(k) + q21_ * ker.shat(k)) / denom
+           - ctx.abm1 * kbar * (q11_ * chat + q21_ * shat) / denom
            - ctx.abm1 * ((1 - gamma) * kbar / k2 - (2 - 3 * gamma / 2))
            * zk / denom)
-    eta_alt = (ra * (kbar + (ctx.beta - 2) * k2) / denom
+    eta_alt = (ra * ctx.kbar_tip / denom
                + (q11_ * fb + q21_ * gb) * (1 + ctx.alpha) * k2 / denom
                - ctx.abm1 * (2 * (1 - gamma) * kbar - (4 - 3 * gamma) * k2)
                * zk / (2 * k2 * denom))
@@ -302,8 +380,9 @@ def qc_limit(params: MaterialParams):
     in a form inconsistent with it.
     """
     kbar = params.kappa_bar
-    _, eta0 = exact_limits(params)
-    (q11_, q12_), (q21_, q22_) = qc_matrix(params)[0]
+    ctx = _context(params)
+    _, eta0 = ctx.exact_limits
+    (q11_, q12_), (q21_, q22_) = ctx.qc_matrix[0]
     ratio = (q11_ + q21_) * kbar / (q12_ + q22_)
     return eta0 * ratio, eta0 * (1 - ratio)
 
@@ -314,13 +393,9 @@ def qqc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoeffic
     """(kappa, eta) of the quasi-nonlocal coupling at shift k = n - m + 1."""
     check_interface(ModelKind.QQC, m, n)
     ctx = _context(params)
-    k1, k2 = params.kappa1, params.kappa2
-    ker = ctx.kernel
-    k = n - m + 1
-    _, ga = ker.fg_scaled(k, ctx.alpha)
-    _, gb = ker.fg_scaled(k, 1 - ctx.beta)
-    kappa = ctx.abm1 * (k1 + k2 * (ctx.beta + 1) + k2 * gb / ga)
-    eta = 1 - ctx.abm1 * ker.shat(k) / ga
+    _, ga, _, gb, _, shat = ctx.kernels(n - m + 1)
+    kappa = ctx.abm1 * (ctx.kappa_head + params.kappa2 * gb / ga)
+    eta = 1 - ctx.abm1 * shat / ga
     return EffectiveCoefficients(ModelKind.QQC, kappa, eta, n, m)
 
 
@@ -336,10 +411,10 @@ def qqc_expansions(params: MaterialParams, m: int, n: int):
     high-precision sweeps.
     """
     ctx = _context(params)
-    denom = ctx.a_alpha + ctx.b_alpha
+    denom = ctx.ab_alpha
     kappa_rec = ExpansionRecord(
         ModelKind.QQC, "kappa",
-        2 * ctx.abm1 ** 2 * params.kappa_bar * ctx.kernel.s1 / denom ** 2,
+        2 * ctx.abm1 ** 2 * params.kappa_bar * ctx.s1 / denom ** 2,
         (2, -2, 2))
     eta_rec = ExpansionRecord(
         ModelKind.QQC, "eta",
@@ -357,21 +432,16 @@ def fqc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoeffic
     """
     check_interface(ModelKind.FQC, m, n)
     ctx = _context(params)
-    k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
-    ker = ctx.kernel
     k = n - m
-    zk = ker.pow(k)
-    s1 = ker.s1
-    _, ga = ker.fg_scaled(k, ctx.alpha)
-    _, gb = ker.fg_scaled(k, 1 - ctx.beta)
-    dhat = ga - (1 + ctx.alpha) * s1 * zk
-    kappa = (ctx.abm1 * (k1 + k2 * (ctx.beta + 1) + k2 * gb / dhat)
-             + ctx.abm1 * (kbar + (ctx.beta - 2) * k2) * s1 * zk / dhat)
-    boost = 1 + (1 + ctx.alpha) * s1 * zk / dhat
-    eta = (1 - ctx.abm1 * ker.shat(k) / dhat
-           + (1 + ctx.alpha) * s1 * zk / dhat)
-    eta_long = ((1 + (ctx.beta - 2) * k2 / kbar) * boost
-                + (1 + ctx.alpha) * (k2 / kbar) * gb / dhat)
+    zk = ctx.pow(k)
+    _, ga, _, gb, _, shat = ctx.kernels(k)
+    tip = ctx.opa_s1 * zk
+    dhat = ga - tip
+    kappa = (ctx.abm1 * (ctx.kappa_head + params.kappa2 * gb / dhat)
+             + ctx.fqc_kappa_tip * zk / dhat)
+    tip_share = tip / dhat
+    eta = 1 - ctx.abm1 * shat / dhat + tip_share
+    eta_long = ctx.fqc_eta_head * (1 + tip_share) + ctx.fqc_eta_gb * gb / dhat
     if _rel_diff(eta, eta_long) > CROSS_CHECK_TOL:
         raise ArithmeticError(
             f"eta evaluations disagree: {eta} vs {eta_long}")
@@ -391,15 +461,13 @@ def fqc_expansions(params: MaterialParams, m: int, n: int):
     Confirmed by high-precision sweeps.
     """
     ctx = _context(params)
-    k2, kbar = params.kappa2, params.kappa_bar
-    denom = ctx.a_alpha + ctx.b_alpha
-    s1 = ctx.kernel.s1
+    denom = ctx.ab_alpha
     kappa_rec = ExpansionRecord(
         ModelKind.FQC, "kappa",
-        2 * ctx.abm1 * (k2 * ctx.b_alpha * (ctx.a_1mb + ctx.b_1mb) / denom ** 2
-                        + (kbar + (ctx.beta - 2) * k2) * s1 / denom),
+        2 * ctx.abm1 * (params.kappa2 * ctx.b_alpha * ctx.ab_1mb / denom ** 2
+                        + ctx.kbar_tip * ctx.s1 / denom),
         (1, -1, 0))
-    _, eta0 = exact_limits(params)
+    _, eta0 = ctx.exact_limits
     eta_rec = ExpansionRecord(
         ModelKind.FQC, "eta",
         2 * ctx.b_alpha * eta0 / denom,

@@ -37,7 +37,15 @@ class KernelRangeError(OverflowError):
 
 @dataclass(frozen=True)
 class HyperbolicKernel:
-    """Kernel evaluator bound to one crack-region root z0."""
+    """Kernel evaluator bound to one crack-region root z0.
+
+    It holds no state beyond z0: every method recomputes the powers it
+    needs.  `checks` and `lattice` call it directly, some of them around
+    mpmath precision changes, and a power cached here at one precision
+    would be handed to a caller at another.  The closed forms memoize
+    powers and scaled pairs in `effective`'s per-parameter context
+    instead, which is rebuilt whenever the precision changes.
+    """
 
     z0: float
 
@@ -81,11 +89,17 @@ class HyperbolicKernel:
 
     def fg_scaled(self, k: int, rho):
         """Scaled pair (Fhat, Ghat) = z0^k (F_{k,rho}, G_{k,rho})."""
+        ks = (k + 1, k, k - 1)
+        return self.fg_from_scaled(rho, [self.chat(j) for j in ks],
+                                   [self.shat(j) for j in ks])
+
+    def fg_from_scaled(self, rho, chats, shats):
+        """(Fhat, Ghat) at index k from chats = (Chat(k+1), Chat(k),
+        Chat(k-1)) and shats likewise, so a caller holding those values
+        forms the pair without recomputing a power of z0."""
         z0 = self.z0
-        fhat = self.chat(k + 1) / z0 - (1 - rho) * self.chat(k) \
-            - rho * z0 * self.chat(k - 1)
-        ghat = self.shat(k + 1) / z0 - (1 - rho) * self.shat(k) \
-            - rho * z0 * self.shat(k - 1)
+        fhat = chats[0] / z0 - (1 - rho) * chats[1] - rho * z0 * chats[2]
+        ghat = shats[0] / z0 - (1 - rho) * shats[1] - rho * z0 * shats[2]
         return fhat, ghat
 
     def fg(self, k: int, rho):

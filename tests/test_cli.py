@@ -138,6 +138,17 @@ class TestLimits:
         assert data["eta0_qc"] == pytest.approx(1.6948085235358459)
         assert data["gap"] == pytest.approx(-0.7651973856697533)
 
+    @pytest.mark.parametrize("command", [["limits"],
+                                         ["coefficients", "--model", "exact",
+                                          "--n", "50"]])
+    def test_qc_gamma_pole_exits_2_with_its_name(self, runner, command):
+        # Both commands evaluate QC's limit, undefined where
+        # kappa1 + 4.5 kappa2 = 0.
+        result = runner.invoke(main, command + ["--k1", "4.5", "--k2", "-1",
+                                                "--k3", "0.01"])
+        assert result.exit_code == 2
+        assert "QC is undefined at kappa1 + 4.5*kappa2 = 0" in result.output
+
 
 class TestTrace:
     def test_csv_header_and_start_row(self, runner):

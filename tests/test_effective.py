@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +15,7 @@ from crackqc.kernels import HyperbolicKernel
 from crackqc.material import (MIN_INTERFACE, ParameterError,
                               characteristic_roots, validate)
 
+import make_golden
 from conftest import random_params
 
 REF_N = 104
@@ -339,10 +342,11 @@ class TestExpansions:
 
 
 class TestContextMemo:
-    """The closed forms keep the last parameter set's roots, kernel and
-    (A, B) pairs.  A reused context must give exactly what a fresh one
-    gives, whatever came before: another set, another number type, or the
-    same mpf values at another working precision."""
+    """The closed forms keep the last parameter set's constants and a memo
+    of its powers and scaled kernels by index.  A reused context must give
+    exactly what a fresh one gives, whatever came before: another set,
+    another number type, the same mpf values at another working precision,
+    or other indices in any order."""
 
     @staticmethod
     def _all_models(p, n):
@@ -351,7 +355,7 @@ class TestContextMemo:
                 for kind in ModelKind]
 
     def _cold(self, monkeypatch, p, n):
-        monkeypatch.setattr(eff, "_memo", (None, None))
+        monkeypatch.setattr(eff, "_memo", None)
         return self._all_models(p, n)
 
     def test_same_mpf_params_at_a_new_precision(self, monkeypatch):
@@ -395,3 +399,95 @@ class TestContextMemo:
             for i in (a, b, a):
                 for n in window:
                     assert bits(sets[i], n) == ref[i, n], (i, n)
+
+    @staticmethod
+    def _sweeps_match_cold(p, nms, monkeypatch):
+        """Outputs over `nms` in order equal those from an empty memo."""
+        def bits(nm):
+            return [x.hex() if isinstance(x, float) else x._mpf_
+                    for x in make_golden.closed_form_outputs(p, *nm)]
+
+        ref = {}
+        for nm in nms:
+            monkeypatch.setattr(eff, "_memo", None)
+            ref[nm] = bits(nm)
+        for nm in nms:
+            assert bits(nm) == ref[nm], nm
+        return ref
+
+    def test_index_orders_match_cold(self, rng, monkeypatch):
+        # A window at a fixed gap, a growing crack at fixed m, and the
+        # window reversed and shuffled.
+        window = [(n, n - 6) for n in range(40, 72)]
+        growing = [(n, 30) for n in range(34, 66)]
+        shuffled = [window[i] for i in rng.permutation(len(window))]
+        for p in [random_params(rng) for _ in range(3)]:
+            for nms in (window, growing, window[::-1], shuffled):
+                self._sweeps_match_cold(p, nms, monkeypatch)
+
+    def test_mpf_precision_round_trip_matches_cold(self, monkeypatch):
+        pm = validate(mp.mpf(4), mp.mpf("0.4"), mp.mpf(20), mp.mpf("0.5"))
+        window = [(n, n - 5) for n in range(30, 38)]
+        runs = []
+        for dps in (30, 50, 30):
+            with mp.workdps(dps):
+                runs.append(self._sweeps_match_cold(pm, window, monkeypatch))
+        assert runs[0] == runs[2]
+        assert all(runs[0][nm][0] != runs[1][nm][0] for nm in window)
+
+    def test_index_tables_stay_bounded(self, params):
+        # A growing crack from n = 20 to 20,000 at one set adds new
+        # indices at every step; the tables clear at their bound.
+        largest = 0
+        for n in range(20, 20_001):
+            eff.exact_coefficients(params, n)
+            eff.fqc_coefficients(params, 10, n)
+            ctx = eff._context(params)
+            largest = max(largest, len(ctx._powers), len(ctx._kernels))
+        assert largest == eff.INDEX_MEMO_SIZE
+
+
+class TestQCGammaPole:
+    """kappa1 + 4.5 kappa2 = 0 is admissible, and only QC's gamma has a
+    pole there."""
+
+    POLE = (4.5, -1.0, 0.01, 0.5)
+
+    def test_qc_raises_named_error_and_others_stay_finite(self):
+        p = validate(*self.POLE)
+        assert p.kappa_bar + p.kappa2 / 2 == 0
+
+        def finite_outputs():
+            out = list(eff.exact_limits(p))
+            for kind, m in ((ModelKind.EXACT, None), (ModelKind.QQC, 45),
+                            (ModelKind.FQC, 45)):
+                c = eff.coefficients(p, kind, 50, m)
+                out += [c.kappa, c.eta]
+                out += [r.leading_coefficient
+                        for r in eff.expansions(p, kind, 50, m)]
+            assert all(map(math.isfinite, out))
+            return out
+
+        before = finite_outputs()
+        for call in (eff.qc_gamma, eff.limits, eff.qc_limit,
+                     lambda q: eff.qc_coefficients(q, 45, 50),
+                     lambda q: eff.qc_coefficients_qmatrix(q, 45, 50)):
+            with pytest.raises(ValueError,
+                               match=r"kappa1 \+ 4\.5\*kappa2 = 0"):
+                call(p)
+        assert finite_outputs() == before
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "closed_form_golden.json"
+
+
+def test_golden_outputs_bit_for_bit():
+    """tests/make_golden.py wrote these outputs from a trusted tree; a
+    refactor of the closed forms that moves no bit reproduces them all."""
+    data = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [tuple(nm) for nm in data["indices"]] == list(make_golden.INDICES)
+    assert len(data["sets"]) == make_golden.N_SETS
+    for entry in data["sets"]:
+        p = validate(*map(float.fromhex, entry["params"]))
+        got = [x.hex() for x in make_golden.set_outputs(p)]
+        assert got == entry["outputs"], entry["params"]
