@@ -99,8 +99,8 @@ def _models(name: str):
     return [ModelKind(name)]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x: Optional[float]) -> str:
+    return "nan" if x is None else repr(float(x))
 
 
 @click.group()
@@ -135,7 +135,14 @@ def cmd_coefficients(k1, k2, k3, ucut, m, n, model, oracle, as_json):
     if oracle:
         from . import lattice as lat
     with _gate(k1, k2, k3, ucut) as params:
-        limits = dataclasses.asdict(eff.limits(params))
+        kappa0, eta0 = eff.exact_limits(params)
+        try:
+            eta0_qc, gap = eff.qc_limit(params)
+        except ValueError:  # QC's pole, where the other models are finite
+            if model in ("qc", "all"):
+                raise
+            eta0_qc = gap = None
+        limits = dict(kappa0=kappa0, eta0=eta0, eta0_qc=eta0_qc, gap=gap)
         report = {"limits": limits, "models": {}}
         worst = 0.0
         for kind in _models(model):

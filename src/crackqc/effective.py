@@ -43,8 +43,6 @@ both and are not implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from types import SimpleNamespace
 from typing import Optional
 
 from .kernels import HyperbolicKernel
@@ -52,9 +50,8 @@ from .material import (EffectiveCoefficients, MaterialParams, ModelKind,
                        characteristic_roots, check_interface)
 
 CROSS_CHECK_TOL = 1e-10
-# Entries per index table of a context: a 32-index window at a fixed gap
-# needs about 70 powers, and the bound keeps a long sweep at one parameter
-# set in constant memory.
+# Entries per context memo: a 32-index window at a fixed gap stores about
+# 40, and the bound keeps a long sweep at one set in constant memory.
 INDEX_MEMO_SIZE = 256
 
 
@@ -96,110 +93,43 @@ class _Context:
     results: `mpf(4) == 4.0` with equal hashes, and the same mpf params
     evaluated at 20 and at 60 digits give different roots.
 
-    A context holds two things.  First, every per-parameter constant of the
-    closed forms and their expansions, each formed in the operation order
-    the formulas below use, so hoisting it moves no bit.  QC's constants
-    and interface matrix are built on first use: QC's gamma has a pole at
-    kappa1 + 4.5 kappa2 = 0, where the other models stay finite.  Second,
-    a memo of z0^k and of the scaled kernels at index k, keyed on the
-    integer k and cleared when it reaches INDEX_MEMO_SIZE entries.  The
-    approximations depend on n and m only through n - m, so a window at a
-    fixed gap evaluates their kernels once, and the exact model at n + 1
-    reuses z0^(2n) and z0^(2n+2) from n.  The memo lives here rather than
-    on `HyperbolicKernel`, which stays stateless for the callers that use
-    it across precision changes; a context never sees a precision change,
-    because `_context` builds a new one.
+    Besides the roots, alpha, beta, alpha + beta - 1 and the two (A, B)
+    pairs, a context holds one memo of formula results keyed on (formula,
+    index) and cleared at INDEX_MEMO_SIZE entries; a formula that raises
+    stores nothing.  The approximations depend on (n, m) only through
+    n - m (n - m + 1 for QQC), so a window at a fixed gap evaluates each
+    of them once.
     """
 
     def __init__(self, params: MaterialParams, key):
         self.params, self.key, self.prec = params, key, key[-1]
-        k1, k2, kbar = params.kappa1, params.kappa2, params.kappa_bar
-        roots = characteristic_roots(params)
-        self.kernel = HyperbolicKernel(roots.z0)
-        self.alpha = alpha = roots.alpha
-        self.beta = beta = roots.beta
-        self.abm1 = alpha + beta - 1
-        self.one_minus_beta = 1 - beta
-        self.c1, self.s1 = self.kernel.c1, self.kernel.s1
-        self.a_alpha, self.b_alpha = self.kernel.ab(alpha)
-        self.a_1mb, self.b_1mb = self.kernel.ab(self.one_minus_beta)
-        self.ab_alpha = self.a_alpha + self.b_alpha
-        self.ab_1mb = self.a_1mb + self.b_1mb
-        # k1 + k2 (beta + 1), the head of every kappa.
-        self.kappa_head = k1 + k2 * (beta + 1)
-        # kbar + (beta - 2) k2, the head of QC's eta and FQC's tip term.
-        self.kbar_tip = kbar + (beta - 2) * k2
-        self.k2_kbar = k2 / kbar
-        # Fixed factors of the z0^n and z0^k terms of exact and FQC.
-        self.exact_eta_tail = (2 * k2 / kbar) * self.abm1 * (self.c1 - 1)
-        self.opa_s1 = (1 + alpha) * self.s1
-        self.fqc_kappa_tip = self.abm1 * self.kbar_tip * self.s1
-        self.fqc_eta_head = 1 + (beta - 2) * k2 / kbar
-        self.fqc_eta_gb = (1 + alpha) * self.k2_kbar
-        # (kappa0, eta0), the exact model's n -> infinity limits.
-        self.exact_limits = (
-            self.abm1 * (self.kappa_head + k2 * self.ab_1mb / self.ab_alpha),
-            1 - self.abm1 / self.ab_alpha)
-        self._powers, self._kernels = {}, {}
+        self.roots = characteristic_roots(params)
+        self.kernel = HyperbolicKernel(self.roots.z0)
+        self.alpha, self.beta = self.roots.alpha, self.roots.beta
+        self.abm1 = self.alpha + self.beta - 1
+        self.a_alpha, self.b_alpha = self.kernel.ab(self.alpha)
+        self.a_1mb, self.b_1mb = self.kernel.ab(1 - self.beta)
+        self.memo = {}
 
-    @cached_property
-    def qc(self):
-        """The interface-elimination constants of `qc_coefficients`."""
-        k1, k2, kbar = (self.params.kappa1, self.params.kappa2,
-                        self.params.kappa_bar)
-        gamma = qc_gamma(self.params)
-        c1, s1 = self.c1, self.s1
-        c2, s2 = 2 * c1 * c1 - 1, 2 * s1 * c1
-        ke = k1 + gamma * k2 / 2
-        x1 = ke * (c1 - 1) + k2 * (c2 - 1)
-        y1 = ke * s1 + k2 * s2
-        b1 = ke + 2 * k2
-        return SimpleNamespace(
-            m12=self.a_alpha - self.b_alpha, m21=x1 + y1, m22=x1 - y1,
-            rhs_p=((1 + self.alpha) / kbar, b1 / kbar - gamma),
-            fb_minus=self.a_1mb - self.b_1mb,
-            kappa_const=self.abm1 * self.kappa_head,
-            eta_const=self.kbar_tip / kbar)
+    def evaluate(self, formula, index=None):
+        """formula(self, index), once per (formula, index)."""
+        key = formula, index
+        value = self.memo.get(key)
+        if value is None:
+            if len(self.memo) >= INDEX_MEMO_SIZE:
+                self.memo.clear()
+            value = self.memo[key] = formula(self, index)
+        return value
 
-    @cached_property
-    def qc_matrix(self):
-        """(Q, gamma) of `qc_matrix`."""
-        k2, kbar = self.params.kappa2, self.params.kappa_bar
-        gamma = qc_gamma(self.params)
-        cm1 = self.c1 - 1
-        s1 = self.s1
-        q11 = (4 - 3 * gamma) / (4 * k2 * cm1)
-        q12 = 3 * gamma / (4 * k2 * s1)
-        q21 = (2 - gamma) * kbar / (4 * k2 * cm1)
-        q22 = ((gamma + 2) * kbar - 4 * k2) / (4 * k2 * s1)
-        return ((q11, q12), (q21, q22)), gamma
-
-    def pow(self, k: int):
-        """z0^k, memoized."""
-        p = self._powers.get(k)
-        if p is None:
-            if len(self._powers) >= INDEX_MEMO_SIZE:
-                self._powers.clear()
-            p = self._powers[k] = self.kernel.pow(k)
-        return p
-
-    def kernels(self, k: int):
-        """(Fhat_alpha, Ghat_alpha, Fhat_1-beta, Ghat_1-beta, Chat, Shat) at
-        index k, memoized: `HyperbolicKernel.fg_scaled` for rho = alpha and
-        rho = 1 - beta, and `chat`/`shat`, from three memoized powers."""
-        entry = self._kernels.get(k)
-        if entry is None:
-            if len(self._kernels) >= INDEX_MEMO_SIZE:
-                self._kernels.clear()
-            powers = (self.pow(2 * k + 2), self.pow(2 * k),
-                      self.pow(2 * k - 2))
-            chats = [(1 + p) / 2 for p in powers]
-            shats = [(1 - p) / 2 for p in powers]
-            entry = self._kernels[k] = (
-                *self.kernel.fg_from_scaled(self.alpha, chats, shats),
-                *self.kernel.fg_from_scaled(self.one_minus_beta, chats, shats),
-                chats[1], shats[1])
-        return entry
+    def scaled(self, k: int, cosh: bool):
+        """(Fhat_alpha, Fhat_1-beta, Chat) at index k if `cosh`, else
+        (Ghat_alpha, Ghat_1-beta, Shat), from z0^(2k+2), z0^(2k), z0^(2k-2)."""
+        ker = self.kernel
+        powers = [ker.pow(j) for j in (2 * k + 2, 2 * k, 2 * k - 2)]
+        hats = ([(1 + p) / 2 for p in powers] if cosh
+                else [(1 - p) / 2 for p in powers])
+        return (ker.scaled_from(self.alpha, hats),
+                ker.scaled_from(1 - self.beta, hats), hats[1])
 
 
 # The last context built, replaced in one statement.
@@ -221,17 +151,55 @@ def _context(params: MaterialParams) -> _Context:
     return ctx
 
 
+def _index(model: ModelKind, n: int, m: Optional[int] = None) -> int:
+    """The one index `model`'s closed forms depend on, once (n, m) is
+    valid: n for the exact chain, n - m + 1 for QQC, n - m otherwise."""
+    if model is ModelKind.EXACT:
+        if n < 1:
+            raise ValueError(f"exact model requires n >= 1, got n={n}")
+        return n
+    check_interface(model, m, n)
+    return n - m + 1 if model is ModelKind.QQC else n - m
+
+
 def _solve2(m11, m12, m21, m22, r1, r2):
     det = m11 * m22 - m12 * m21
     return (r1 * m22 - r2 * m12) / det, (m11 * r2 - m21 * r1) / det
 
 
-def _rel_diff(a, b):
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0 else 0.0
+def _records(model, kappa, kappa_exponent, eta, eta_exponent):
+    """The (kappa, eta) pair of `ExpansionRecord`s of one model."""
+    return (ExpansionRecord(model, "kappa", kappa, kappa_exponent),
+            ExpansionRecord(model, "eta", eta, eta_exponent))
+
+
+def _cross_check(eta, eta_long):
+    scale = max(abs(eta), abs(eta_long))
+    if scale > 0 and abs(eta - eta_long) / scale > CROSS_CHECK_TOL:
+        raise ArithmeticError(
+            f"eta evaluations disagree: {eta} vs {eta_long}")
 
 
 # Exact model.
+
+def _exact(ctx: _Context, n: int):
+    k1, k2, kbar = ctx.params.kappa1, ctx.params.kappa2, ctx.params.kappa_bar
+    fa, fb, chat = ctx.scaled(n, cosh=True)
+    zn = ctx.kernel.pow(n)
+    kappa = ctx.abm1 * (k1 + k2 * (ctx.beta + 1) + k2 * fb / fa)
+    eta = 1 - ctx.abm1 * (chat - zn) / fa
+
+    # Long form: the collapse combination plus the criss-cross determinant
+    # term, which is n-independent up to the z0^n factor.  (A fully expanded
+    # variant of this route in circulation carries a constant-term error of
+    # exactly kappa2 / kappa_bar; this assembled form is the consistent
+    # one.)
+    eta_long = (1 + (k2 / kbar) * ((ctx.beta - 2) * fa
+                                   + (1 + ctx.alpha) * fb) / fa
+                - (2 * k2 / kbar) * ctx.abm1 * (ctx.kernel.c1 - 1) * zn / fa)
+    _cross_check(eta, eta_long)
+    return kappa, eta
+
 
 def exact_coefficients(params: MaterialParams, n: int) -> EffectiveCoefficients:
     """(kappa, eta) of the exact chain at crack-tip index n >= 1.
@@ -241,32 +209,30 @@ def exact_coefficients(params: MaterialParams, n: int) -> EffectiveCoefficients:
     its n-independent value, which is what makes the long form evaluable at
     large n at all).
     """
-    if n < 1:
-        raise ValueError(f"exact model requires n >= 1, got n={n}")
-    ctx = _context(params)
-    k2 = params.kappa2
-    fa, _, fb, _, chat, _ = ctx.kernels(n)
-    zn = ctx.pow(n)
-    kappa = ctx.abm1 * (ctx.kappa_head + k2 * fb / fa)
-    eta = 1 - ctx.abm1 * (chat - zn) / fa
-
-    # Long form: the collapse combination plus the criss-cross determinant
-    # term, which is n-independent up to the z0^n factor.  (A fully expanded
-    # variant of this route in circulation carries a constant-term error of
-    # exactly kappa2 / kappa_bar; this assembled form is the consistent
-    # one.)
-    eta_long = (1 + ctx.k2_kbar * ((ctx.beta - 2) * fa
-                                   + (1 + ctx.alpha) * fb) / fa
-                - ctx.exact_eta_tail * zn / fa)
-    if _rel_diff(eta, eta_long) > CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"eta evaluations disagree: {eta} vs {eta_long}")
+    kappa, eta = _context(params).evaluate(_exact, _index(ModelKind.EXACT, n))
     return EffectiveCoefficients(ModelKind.EXACT, kappa, eta, n)
+
+
+def _exact_limits(ctx: _Context, _):
+    k1, k2 = ctx.params.kappa1, ctx.params.kappa2
+    denom = ctx.a_alpha + ctx.b_alpha
+    return (ctx.abm1 * (k1 + k2 * (1 + ctx.beta)
+                        + k2 * (ctx.a_1mb + ctx.b_1mb) / denom),
+            1 - ctx.abm1 / denom)
 
 
 def exact_limits(params: MaterialParams):
     """(kappa0, eta0): the macroscopic-crack limits of the exact model."""
-    return _context(params).exact_limits
+    return _context(params).evaluate(_exact_limits)
+
+
+def _exact_expansions(ctx: _Context, _):
+    denom = ctx.a_alpha + ctx.b_alpha
+    return _records(
+        ModelKind.EXACT,
+        -2 * ctx.abm1 ** 2 * ctx.params.kappa_bar * ctx.kernel.s1
+        / denom ** 2, (2, 0, 0),
+        2 * ctx.abm1 / denom, (1, 0, 0))
 
 
 def exact_expansions(params: MaterialParams, n: int):
@@ -277,15 +243,8 @@ def exact_expansions(params: MaterialParams, n: int):
     Fhat(n, .) = (A+B)/2 + (A-B)/2 z0^(2n) in the coefficient formulas and
     are confirmed by high-precision sweeps.
     """
-    ctx = _context(params)
-    denom = ctx.ab_alpha
-    kappa_rec = ExpansionRecord(
-        ModelKind.EXACT, "kappa",
-        -2 * ctx.abm1 ** 2 * params.kappa_bar * ctx.s1 / denom ** 2,
-        (2, 0, 0))
-    eta_rec = ExpansionRecord(
-        ModelKind.EXACT, "eta", 2 * ctx.abm1 / denom, (1, 0, 0))
-    return kappa_rec, eta_rec
+    _index(ModelKind.EXACT, n)
+    return _context(params).evaluate(_exact_expansions)
 
 
 # Energy-based QC.
@@ -305,6 +264,34 @@ def qc_gamma(params: MaterialParams):
     return kbar / den
 
 
+def _qc(ctx: _Context, k: int):
+    k1, k2, kbar = ctx.params.kappa1, ctx.params.kappa2, ctx.params.kappa_bar
+    zk = ctx.kernel.pow(k)
+    gamma = qc_gamma(ctx.params)
+    c1, s1 = ctx.kernel.c1, ctx.kernel.s1
+    c2, s2 = 2 * c1 * c1 - 1, 2 * s1 * c1
+    ke = k1 + gamma * k2 / 2
+    x1 = ke * (c1 - 1) + k2 * (c2 - 1)
+    y1 = ke * s1 + k2 * s2
+    b1 = ke + 2 * k2
+
+    m11 = ctx.a_alpha + ctx.b_alpha
+    m12 = (ctx.a_alpha - ctx.b_alpha) * zk
+    m21 = (x1 + y1) * zk
+    m22 = x1 - y1
+    xu, yu = _solve2(m11, m12, m21, m22, ctx.abm1, 0.0)
+    xp, yp = _solve2(m11, m12, m21, m22,
+                     (1 + ctx.alpha) / kbar, b1 / kbar - gamma)
+
+    fb_plus = ctx.a_1mb + ctx.b_1mb
+    fb_minus = (ctx.a_1mb - ctx.b_1mb) * zk
+    kappa = (ctx.abm1 * (k1 + k2 * (1 + ctx.beta))
+             + k2 * (fb_plus * xu + fb_minus * yu))
+    eta = ((kbar + (ctx.beta - 2) * k2) / kbar
+           + k2 * (fb_plus * xp + fb_minus * yp))
+    return kappa, eta
+
+
 def qc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoefficients:
     """(kappa, eta) of the energy-based QC model by interface elimination.
 
@@ -313,29 +300,49 @@ def qc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoeffici
     first interface equation; the second interface equation is exhausted by
     b = -P / kappa_bar.  Matches the lattice oracle to machine precision.
     """
-    check_interface(ModelKind.QC, m, n)
-    ctx = _context(params)
-    k2 = params.kappa2
-    qc = ctx.qc
-    zk = ctx.pow(n - m)
-    m11, m12, m21, m22 = ctx.ab_alpha, qc.m12 * zk, qc.m21 * zk, qc.m22
-    xu, yu = _solve2(m11, m12, m21, m22, ctx.abm1, 0.0)
-    xp, yp = _solve2(m11, m12, m21, m22, *qc.rhs_p)
-
-    fb_plus = ctx.ab_1mb
-    fb_minus = qc.fb_minus * zk
-    kappa = qc.kappa_const + k2 * (fb_plus * xu + fb_minus * yu)
-    eta = qc.eta_const + k2 * (fb_plus * xp + fb_minus * yp)
+    kappa, eta = _context(params).evaluate(_qc, _index(ModelKind.QC, n, m))
     return EffectiveCoefficients(ModelKind.QC, kappa, eta, n, m)
+
+
+def _qc_matrix(ctx: _Context, _):
+    k2, kbar = ctx.params.kappa2, ctx.params.kappa_bar
+    gamma = qc_gamma(ctx.params)
+    cm1 = ctx.kernel.c1 - 1
+    s1 = ctx.kernel.s1
+    q11 = (4 - 3 * gamma) / (4 * k2 * cm1)
+    q12 = 3 * gamma / (4 * k2 * s1)
+    q21 = (2 - gamma) * kbar / (4 * k2 * cm1)
+    q22 = ((gamma + 2) * kbar - 4 * k2) / (4 * k2 * s1)
+    return ((q11, q12), (q21, q22)), gamma
 
 
 def qc_matrix(params: MaterialParams):
     """The 2x2 interface matrix Q of the alternative QC closed form, and
     gamma.  Entries are finite because cosh delta = -1 - kappa1/(2 kappa2)
     never equals 1 under the validity conditions."""
-    if params.kappa2 == 0:
-        raise ValueError("qc_matrix requires kappa2 != 0")
-    return _context(params).qc_matrix
+    return _context(params).evaluate(_qc_matrix)
+
+
+def _qc_qmatrix(ctx: _Context, k: int):
+    k1, k2, kbar = ctx.params.kappa1, ctx.params.kappa2, ctx.params.kappa_bar
+    ((q11_, q12_), (q21_, q22_)), gamma = ctx.evaluate(_qc_matrix)
+    zk = ctx.kernel.pow(k)
+    fa, fb, chat = ctx.scaled(k, cosh=True)
+    ga, gb, shat = ctx.scaled(k, cosh=False)
+    denom = q12_ * fa + q22_ * ga + (1 + ctx.alpha) * zk
+    kappa = (ctx.abm1 * (k1 + k2 * (1 + ctx.beta)
+                         + k2 * (q12_ * fb + q22_ * gb) / denom)
+             - ctx.abm1 * (kbar + (ctx.beta - 2) * k2) * zk / denom)
+    ra = q11_ * fa + q21_ * ga
+    eta = (ra * kbar / denom
+           - ctx.abm1 * kbar * (q11_ * chat + q21_ * shat) / denom
+           - ctx.abm1 * ((1 - gamma) * kbar / k2 - (2 - 3 * gamma / 2))
+           * zk / denom)
+    eta_alt = (ra * (kbar + (ctx.beta - 2) * k2) / denom
+               + (q11_ * fb + q21_ * gb) * (1 + ctx.alpha) * k2 / denom
+               - ctx.abm1 * (2 * (1 - gamma) * kbar - (4 - 3 * gamma) * k2)
+               * zk / (2 * k2 * denom))
+    return kappa, eta, eta_alt
 
 
 def qc_coefficients_qmatrix(params: MaterialParams, m: int, n: int):
@@ -348,25 +355,8 @@ def qc_coefficients_qmatrix(params: MaterialParams, m: int, n: int):
     drops a next-nearest interface term), so `qc_coefficients` is the
     primary path.
     """
-    check_interface(ModelKind.QC, m, n)
-    ctx = _context(params)
-    k2, kbar = params.kappa2, params.kappa_bar
-    ((q11_, q12_), (q21_, q22_)), gamma = ctx.qc_matrix
-    k = n - m
-    zk = ctx.pow(k)
-    fa, ga, fb, gb, chat, shat = ctx.kernels(k)
-    denom = q12_ * fa + q22_ * ga + (1 + ctx.alpha) * zk
-    kappa = (ctx.abm1 * (ctx.kappa_head + k2 * (q12_ * fb + q22_ * gb) / denom)
-             - ctx.abm1 * ctx.kbar_tip * zk / denom)
-    ra = q11_ * fa + q21_ * ga
-    eta = (ra * kbar / denom
-           - ctx.abm1 * kbar * (q11_ * chat + q21_ * shat) / denom
-           - ctx.abm1 * ((1 - gamma) * kbar / k2 - (2 - 3 * gamma / 2))
-           * zk / denom)
-    eta_alt = (ra * ctx.kbar_tip / denom
-               + (q11_ * fb + q21_ * gb) * (1 + ctx.alpha) * k2 / denom
-               - ctx.abm1 * (2 * (1 - gamma) * kbar - (4 - 3 * gamma) * k2)
-               * zk / (2 * k2 * denom))
+    kappa, eta, eta_alt = _context(params).evaluate(
+        _qc_qmatrix, _index(ModelKind.QC, n, m))
     return EffectiveCoefficients(ModelKind.QC, kappa, eta, n, m), eta_alt
 
 
@@ -379,24 +369,35 @@ def qc_limit(params: MaterialParams):
     A further simplification of the ratio through tanh[delta/2] circulates
     in a form inconsistent with it.
     """
-    kbar = params.kappa_bar
-    ctx = _context(params)
-    _, eta0 = ctx.exact_limits
-    (q11_, q12_), (q21_, q22_) = ctx.qc_matrix[0]
-    ratio = (q11_ + q21_) * kbar / (q12_ + q22_)
+    _, eta0 = exact_limits(params)
+    (q11_, q12_), (q21_, q22_) = qc_matrix(params)[0]
+    ratio = (q11_ + q21_) * params.kappa_bar / (q12_ + q22_)
     return eta0 * ratio, eta0 * (1 - ratio)
 
 
 # Quasi-nonlocal QC.
 
+def _qqc(ctx: _Context, k: int):
+    k1, k2 = ctx.params.kappa1, ctx.params.kappa2
+    ga, gb, shat = ctx.scaled(k, cosh=False)
+    kappa = ctx.abm1 * (k1 + k2 * (ctx.beta + 1) + k2 * gb / ga)
+    eta = 1 - ctx.abm1 * shat / ga
+    return kappa, eta
+
+
 def qqc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoefficients:
     """(kappa, eta) of the quasi-nonlocal coupling at shift k = n - m + 1."""
-    check_interface(ModelKind.QQC, m, n)
-    ctx = _context(params)
-    _, ga, _, gb, _, shat = ctx.kernels(n - m + 1)
-    kappa = ctx.abm1 * (ctx.kappa_head + params.kappa2 * gb / ga)
-    eta = 1 - ctx.abm1 * shat / ga
+    kappa, eta = _context(params).evaluate(_qqc, _index(ModelKind.QQC, n, m))
     return EffectiveCoefficients(ModelKind.QQC, kappa, eta, n, m)
+
+
+def _qqc_expansions(ctx: _Context, _):
+    denom = ctx.a_alpha + ctx.b_alpha
+    return _records(
+        ModelKind.QQC,
+        2 * ctx.abm1 ** 2 * ctx.params.kappa_bar * ctx.kernel.s1 / denom ** 2,
+        (2, -2, 2),
+        2 * ctx.abm1 * ctx.b_alpha / denom ** 2, (2, -2, 2))
 
 
 def qqc_expansions(params: MaterialParams, m: int, n: int):
@@ -410,42 +411,49 @@ def qqc_expansions(params: MaterialParams, m: int, n: int):
     is the exact-model term with opposite sign.  Confirmed by
     high-precision sweeps.
     """
-    ctx = _context(params)
-    denom = ctx.ab_alpha
-    kappa_rec = ExpansionRecord(
-        ModelKind.QQC, "kappa",
-        2 * ctx.abm1 ** 2 * params.kappa_bar * ctx.s1 / denom ** 2,
-        (2, -2, 2))
-    eta_rec = ExpansionRecord(
-        ModelKind.QQC, "eta",
-        2 * ctx.abm1 * ctx.b_alpha / denom ** 2,
-        (2, -2, 2))
-    return kappa_rec, eta_rec
+    _index(ModelKind.QQC, n, m)
+    return _context(params).evaluate(_qqc_expansions)
 
 
 # Force-based QC.
+
+def _fqc(ctx: _Context, k: int):
+    k1, k2, kbar = ctx.params.kappa1, ctx.params.kappa2, ctx.params.kappa_bar
+    zk = ctx.kernel.pow(k)
+    s1 = ctx.kernel.s1
+    ga, gb, shat = ctx.scaled(k, cosh=False)
+    dhat = ga - (1 + ctx.alpha) * s1 * zk
+    kappa = (ctx.abm1 * (k1 + k2 * (ctx.beta + 1) + k2 * gb / dhat)
+             + ctx.abm1 * (kbar + (ctx.beta - 2) * k2) * s1 * zk / dhat)
+    boost = 1 + (1 + ctx.alpha) * s1 * zk / dhat
+    eta = (1 - ctx.abm1 * shat / dhat
+           + (1 + ctx.alpha) * s1 * zk / dhat)
+    eta_long = ((1 + (ctx.beta - 2) * k2 / kbar) * boost
+                + (1 + ctx.alpha) * (k2 / kbar) * gb / dhat)
+    _cross_check(eta, eta_long)
+    return kappa, eta
+
 
 def fqc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoefficients:
     """(kappa, eta) of the force-based coupling at shift k = n - m.
 
     The shared denominator is D = G_{n-m,alpha} - (1 + alpha) sinh delta.
     """
-    check_interface(ModelKind.FQC, m, n)
-    ctx = _context(params)
-    k = n - m
-    zk = ctx.pow(k)
-    _, ga, _, gb, _, shat = ctx.kernels(k)
-    tip = ctx.opa_s1 * zk
-    dhat = ga - tip
-    kappa = (ctx.abm1 * (ctx.kappa_head + params.kappa2 * gb / dhat)
-             + ctx.fqc_kappa_tip * zk / dhat)
-    tip_share = tip / dhat
-    eta = 1 - ctx.abm1 * shat / dhat + tip_share
-    eta_long = ctx.fqc_eta_head * (1 + tip_share) + ctx.fqc_eta_gb * gb / dhat
-    if _rel_diff(eta, eta_long) > CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"eta evaluations disagree: {eta} vs {eta_long}")
+    kappa, eta = _context(params).evaluate(_fqc, _index(ModelKind.FQC, n, m))
     return EffectiveCoefficients(ModelKind.FQC, kappa, eta, n, m)
+
+
+def _fqc_expansions(ctx: _Context, _):
+    k2, kbar = ctx.params.kappa2, ctx.params.kappa_bar
+    denom = ctx.a_alpha + ctx.b_alpha
+    s1 = ctx.kernel.s1
+    _, eta0 = ctx.evaluate(_exact_limits)
+    return _records(
+        ModelKind.FQC,
+        2 * ctx.abm1 * (k2 * ctx.b_alpha * (ctx.a_1mb + ctx.b_1mb) / denom ** 2
+                        + (kbar + (ctx.beta - 2) * k2) * s1 / denom),
+        (1, -1, 0),
+        2 * ctx.b_alpha * eta0 / denom, (1, -1, 0))
 
 
 def fqc_expansions(params: MaterialParams, m: int, n: int):
@@ -460,27 +468,14 @@ def fqc_expansions(params: MaterialParams, m: int, n: int):
 
     Confirmed by high-precision sweeps.
     """
-    ctx = _context(params)
-    denom = ctx.ab_alpha
-    kappa_rec = ExpansionRecord(
-        ModelKind.FQC, "kappa",
-        2 * ctx.abm1 * (params.kappa2 * ctx.b_alpha * ctx.ab_1mb / denom ** 2
-                        + ctx.kbar_tip * ctx.s1 / denom),
-        (1, -1, 0))
-    _, eta0 = ctx.exact_limits
-    eta_rec = ExpansionRecord(
-        ModelKind.FQC, "eta",
-        2 * ctx.b_alpha * eta0 / denom,
-        (1, -1, 0))
-    return kappa_rec, eta_rec
+    _index(ModelKind.FQC, n, m)
+    return _context(params).evaluate(_fqc_expansions)
 
 
 # Aggregates.
 
 def limits(params: MaterialParams) -> CoefficientLimits:
-    kappa0, eta0 = exact_limits(params)
-    eta0_qc, gap = qc_limit(params)
-    return CoefficientLimits(kappa0, eta0, eta0_qc, gap)
+    return CoefficientLimits(*exact_limits(params), *qc_limit(params))
 
 
 def coefficients(params: MaterialParams, model: ModelKind,
@@ -500,11 +495,10 @@ def expansions(params: MaterialParams, model: ModelKind,
     """Leading error terms for the models with closed-form expansions."""
     if model is ModelKind.EXACT:
         return exact_expansions(params, n)
-    if m is None:
-        raise ValueError(f"{model.value} requires an interface index m")
     if model is ModelKind.QQC:
         return qqc_expansions(params, m, n)
     if model is ModelKind.FQC:
         return fqc_expansions(params, m, n)
+    _index(model, n, m)
     raise ValueError("no closed-form expansion is implemented for the QC "
                      "interface elimination")

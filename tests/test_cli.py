@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -138,16 +139,34 @@ class TestLimits:
         assert data["eta0_qc"] == pytest.approx(1.6948085235358459)
         assert data["gap"] == pytest.approx(-0.7651973856697533)
 
+    POLE = ["--k1", "4.5", "--k2", "-1", "--k3", "0.01"]
+
     @pytest.mark.parametrize("command", [["limits"],
-                                         ["coefficients", "--model", "exact",
-                                          "--n", "50"]])
+                                         ["coefficients", "--model", "qc",
+                                          "--n", "50"],
+                                         ["coefficients", "--n", "50"]])
     def test_qc_gamma_pole_exits_2_with_its_name(self, runner, command):
-        # Both commands evaluate QC's limit, undefined where
-        # kappa1 + 4.5 kappa2 = 0.
-        result = runner.invoke(main, command + ["--k1", "4.5", "--k2", "-1",
-                                                "--k3", "0.01"])
+        # QC is undefined where kappa1 + 4.5 kappa2 = 0; `limits` prints
+        # its limit, and `coefficients` here asks for its coefficients.
+        result = runner.invoke(main, command + self.POLE)
         assert result.exit_code == 2
         assert "QC is undefined at kappa1 + 4.5*kappa2 = 0" in result.output
+
+    @pytest.mark.parametrize("model", ["exact", "qqc", "fqc"])
+    def test_qc_gamma_pole_spares_other_models(self, runner, model):
+        # Only QC's limit is undefined there: it reads nan (null in JSON)
+        # and the requested model's finite coefficients are printed.
+        args = ["coefficients", "--model", model, "--n", "50", "--m", "45"]
+        args += self.POLE
+        text = runner.invoke(main, args)
+        assert text.exit_code == 0 and text.stderr == ""
+        assert text.stdout.splitlines()[1] == "eta0_qc = nan  gap = nan"
+        data = json.loads(runner.invoke(main, args + ["--json"]).stdout)
+        assert data["limits"]["eta0_qc"] is None
+        assert data["limits"]["gap"] is None
+        assert all(map(math.isfinite, [data["limits"]["eta0"],
+                                       data["models"][model]["kappa"],
+                                       data["models"][model]["eta"]]))
 
 
 class TestTrace:

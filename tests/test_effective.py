@@ -326,6 +326,19 @@ class TestExpansions:
         with pytest.raises(ValueError):
             eff.expansions(params, ModelKind.QC, 10, 8)
 
+    @pytest.mark.parametrize("kind,n,m", [
+        (ModelKind.QQC, 5, 0), (ModelKind.FQC, 5, 9),
+        (ModelKind.EXACT, -3, None), (ModelKind.QQC, 6, 6),
+        (ModelKind.FQC, 6, None)])
+    def test_invalid_indices_raise_like_coefficients(self, params, kind, n, m):
+        # The records depend on neither n nor m, but an (n, m) that
+        # `coefficients` refuses is refused here too.
+        with pytest.raises(ValueError) as refused:
+            eff.coefficients(params, kind, n, m)
+        with pytest.raises(ValueError) as expanded:
+            eff.expansions(params, kind, n, m)
+        assert str(expanded.value) == str(refused.value)
+
     def test_error_within_factor_of_leading_term(self, params):
         # Measured |kappa - kappa0| agrees with the leading term within a
         # factor 1.5 already at moderate index shifts.
@@ -342,8 +355,8 @@ class TestExpansions:
 
 
 class TestContextMemo:
-    """The closed forms keep the last parameter set's constants and a memo
-    of its powers and scaled kernels by index.  A reused context must give
+    """The closed forms keep the last parameter set's context and its memo
+    of formula results by (formula, index).  A reused context must give
     exactly what a fresh one gives, whatever came before: another set,
     another number type, the same mpf values at another working precision,
     or other indices in any order."""
@@ -436,15 +449,81 @@ class TestContextMemo:
         assert all(runs[0][nm][0] != runs[1][nm][0] for nm in window)
 
     def test_index_tables_stay_bounded(self, params):
-        # A growing crack from n = 20 to 20,000 at one set adds new
-        # indices at every step; the tables clear at their bound.
+        # A growing crack from n = 20 to 20,000 at one set adds two new
+        # indices at every step; the memo clears at its bound.
         largest = 0
         for n in range(20, 20_001):
             eff.exact_coefficients(params, n)
             eff.fqc_coefficients(params, 10, n)
-            ctx = eff._context(params)
-            largest = max(largest, len(ctx._powers), len(ctx._kernels))
+            largest = max(largest, len(eff._context(params).memo))
         assert largest == eff.INDEX_MEMO_SIZE
+
+    @pytest.mark.parametrize("call,bad", [
+        (lambda p, m, n: eff.exact_coefficients(p, n), (None, 0)),
+        (lambda p, m, n: eff.exact_expansions(p, n), (None, -3)),
+        (eff.qc_coefficients, (2, 5)),
+        (eff.qqc_coefficients, (1, 4)),
+        (eff.fqc_coefficients, (0, 3)),
+        (eff.qc_coefficients_qmatrix, (2, 5)),
+        (eff.qqc_expansions, (0, 5)),
+        (eff.fqc_expansions, (9, 5))])
+    def test_cached_index_does_not_skip_validation(self, params, call, bad):
+        # (m, n) = (47, 50) gives QC and FQC the index 3 of (2, 5) and
+        # (0, 3), and QQC the index 4 of (1, 4).  Each expansion keeps one
+        # entry for every (m, n); the exact model's index is n itself.
+        with pytest.raises(ValueError):
+            call(params, *bad)
+        call(params, 47, 50)
+        with pytest.raises(ValueError):
+            call(params, *bad)
+
+    @staticmethod
+    def _counting(monkeypatch, names):
+        calls = dict.fromkeys(names, 0)
+
+        def wrap(name, formula):
+            def counted(ctx, index):
+                calls[name] += 1
+                return formula(ctx, index)
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(eff, name, wrap(name, getattr(eff, name)))
+        return calls
+
+    def test_raising_formula_stores_nothing(self, params, monkeypatch):
+        calls = self._counting(monkeypatch, ["_exact"])
+        monkeypatch.setattr(eff, "_memo", None)
+        monkeypatch.setattr(eff, "CROSS_CHECK_TOL", -1.0)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                eff.exact_coefficients(params, 30)
+        monkeypatch.setattr(eff, "CROSS_CHECK_TOL", 1e-10)
+        eff.exact_coefficients(params, 30)
+        eff.exact_coefficients(params, 30)
+        assert calls["_exact"] == 3
+
+    def test_qc_pole_raises_on_every_call(self):
+        p = validate(*TestQCGammaPole.POLE)
+        for _ in range(2):
+            for call in (eff.qc_matrix, eff.qc_limit,
+                         lambda q: eff.qc_coefficients(q, 45, 50),
+                         lambda q: eff.qc_coefficients_qmatrix(q, 45, 50)):
+                with pytest.raises(ValueError, match="QC is undefined"):
+                    call(p)
+
+    def test_fixed_gap_window_evaluates_each_formula_once(
+            self, params, monkeypatch):
+        names = ["_exact", "_qc", "_qqc", "_fqc", "_exact_expansions",
+                 "_qqc_expansions", "_fqc_expansions"]
+        calls = self._counting(monkeypatch, names)
+        monkeypatch.setattr(eff, "_memo", None)
+        for n in range(40, 72):
+            for kind in ModelKind:
+                eff.coefficients(params, kind, n, n - 6)
+            for kind in (ModelKind.EXACT, ModelKind.QQC, ModelKind.FQC):
+                eff.expansions(params, kind, n, n - 6)
+        assert calls == dict.fromkeys(names, 1) | {"_exact": 32}
 
 
 class TestQCGammaPole:
