@@ -24,10 +24,9 @@ _HOMES = {
     "kernels": ("HyperbolicKernel", "KernelRangeError", "kernel_for"),
     "effective": (
         "CoefficientLimits", "ExpansionRecord", "coefficients",
-        "exact_coefficients", "exact_expansions", "exact_limits",
-        "expansions", "fqc_coefficients", "fqc_expansions", "limits",
-        "qc_coefficients", "qc_coefficients_qmatrix", "qc_limit",
-        "qqc_coefficients", "qqc_expansions"),
+        "exact_coefficients", "exact_limits", "expansions",
+        "fqc_coefficients", "limits", "qc_coefficients",
+        "qc_coefficients_qmatrix", "qc_limit", "qqc_coefficients"),
     "lattice": (
         "ChainConfig", "DisplacementField", "assemble_energy",
         "assemble_residual", "chain_config", "linear_system", "newton_solve",

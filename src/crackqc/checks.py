@@ -50,8 +50,9 @@ def table_coefficients(params):
     out = {}
     for m, name in REFERENCE_TABLES:
         if name == "qc":
-            # The tables' QC rows follow the interface-matrix closed form,
-            # so that variant is what gets compared.
+            # This is the form criterion 1 compares the QC rows with; even
+            # at README's nearby parameter set (Known discrepancy) it misses
+            # the published QC eta by 0.868.
             out[(m, name)] = eff.qc_coefficients_qmatrix(params, m, TABLE_N)[0]
         else:
             out[(m, name)] = eff.coefficients(params, ModelKind(name),
@@ -174,21 +175,22 @@ def _suite_identities(params, rng):
 
 
 def _suite_energy_force(params, rng):
-    for kind in (ModelKind.EXACT, ModelKind.QC, ModelKind.QQC):
+    for kind in ModelKind:
         cfg = lat.chain_config(params, kind, 25, 15, 70)
+        if not kind.has_energy:
+            try:
+                gradient_mismatch(cfg, lat.DisplacementField(
+                    np.zeros(cfg.j_max + 1), 0.0), 7)
+            except ValueError:
+                continue
+            return False, f"{kind.name} energy did not raise"
         for _ in range(5):
             field = lat.DisplacementField(
                 0.01 * rng.standard_normal(cfg.j_max + 1), 0.3)
             worst = gradient_mismatch(cfg, field, 7)
             if worst > 1e-6:
                 return False, f"{kind.value} gradient mismatch {worst:.3e}"
-    cfg = lat.chain_config(params, ModelKind.FQC, 25, 15, 70)
-    try:
-        gradient_mismatch(cfg, lat.DisplacementField(
-            np.zeros(cfg.j_max + 1), 0.0), 7)
-    except ValueError:
-        return True, "ok"
-    return False, "FQC energy did not raise"
+    return True, "ok"
 
 
 def _suite_oracle(params, rng):

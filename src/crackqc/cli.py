@@ -95,7 +95,7 @@ def _gate(k1, k2, k3, ucut):
 
 def _models(name: str):
     if name == "all":
-        return [ModelKind.EXACT, ModelKind.QC, ModelKind.QQC, ModelKind.FQC]
+        return list(ModelKind)
     return [ModelKind(name)]
 
 

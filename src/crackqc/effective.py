@@ -47,7 +47,7 @@ from typing import Optional
 
 from .kernels import HyperbolicKernel
 from .material import (EffectiveCoefficients, MaterialParams, ModelKind,
-                       characteristic_roots, check_interface)
+                       characteristic_roots, check_indices)
 
 CROSS_CHECK_TOL = 1e-10
 # Entries per context memo: a 32-index window at a fixed gap stores about
@@ -152,13 +152,11 @@ def _context(params: MaterialParams) -> _Context:
 
 
 def _index(model: ModelKind, n: int, m: Optional[int] = None) -> int:
-    """The one index `model`'s closed forms depend on, once (n, m) is
-    valid: n for the exact chain, n - m + 1 for QQC, n - m otherwise."""
+    """The one index `model`'s closed forms depend on, once `check_indices`
+    accepts (n, m): n for Exact, n - m + 1 for QQC, n - m otherwise."""
+    check_indices(model, n, m)
     if model is ModelKind.EXACT:
-        if n < 1:
-            raise ValueError(f"exact model requires n >= 1, got n={n}")
         return n
-    check_interface(model, m, n)
     return n - m + 1 if model is ModelKind.QQC else n - m
 
 
@@ -227,15 +225,6 @@ def exact_limits(params: MaterialParams):
 
 
 def _exact_expansions(ctx: _Context, _):
-    denom = ctx.a_alpha + ctx.b_alpha
-    return _records(
-        ModelKind.EXACT,
-        -2 * ctx.abm1 ** 2 * ctx.params.kappa_bar * ctx.kernel.s1
-        / denom ** 2, (2, 0, 0),
-        2 * ctx.abm1 / denom, (1, 0, 0))
-
-
-def exact_expansions(params: MaterialParams, n: int):
     """Leading error terms of (kappa, eta) against (kappa0, eta0).
 
     kappa - kappa0 = -2 (a+b-1)^2 kappa_bar sinh d / (A+B)^2 z0^(2n) + ...,
@@ -243,8 +232,12 @@ def exact_expansions(params: MaterialParams, n: int):
     Fhat(n, .) = (A+B)/2 + (A-B)/2 z0^(2n) in the coefficient formulas and
     are confirmed by high-precision sweeps.
     """
-    _index(ModelKind.EXACT, n)
-    return _context(params).evaluate(_exact_expansions)
+    denom = ctx.a_alpha + ctx.b_alpha
+    return _records(
+        ModelKind.EXACT,
+        -2 * ctx.abm1 ** 2 * ctx.params.kappa_bar * ctx.kernel.s1
+        / denom ** 2, (2, 0, 0),
+        2 * ctx.abm1 / denom, (1, 0, 0))
 
 
 # Energy-based QC.
@@ -392,15 +385,6 @@ def qqc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoeffic
 
 
 def _qqc_expansions(ctx: _Context, _):
-    denom = ctx.a_alpha + ctx.b_alpha
-    return _records(
-        ModelKind.QQC,
-        2 * ctx.abm1 ** 2 * ctx.params.kappa_bar * ctx.kernel.s1 / denom ** 2,
-        (2, -2, 2),
-        2 * ctx.abm1 * ctx.b_alpha / denom ** 2, (2, -2, 2))
-
-
-def qqc_expansions(params: MaterialParams, m: int, n: int):
     """Leading error terms against (kappa0, eta0), both of order
     z0^(2(n-m+1)):
 
@@ -411,8 +395,12 @@ def qqc_expansions(params: MaterialParams, m: int, n: int):
     is the exact-model term with opposite sign.  Confirmed by
     high-precision sweeps.
     """
-    _index(ModelKind.QQC, n, m)
-    return _context(params).evaluate(_qqc_expansions)
+    denom = ctx.a_alpha + ctx.b_alpha
+    return _records(
+        ModelKind.QQC,
+        2 * ctx.abm1 ** 2 * ctx.params.kappa_bar * ctx.kernel.s1 / denom ** 2,
+        (2, -2, 2),
+        2 * ctx.abm1 * ctx.b_alpha / denom ** 2, (2, -2, 2))
 
 
 # Force-based QC.
@@ -444,19 +432,6 @@ def fqc_coefficients(params: MaterialParams, m: int, n: int) -> EffectiveCoeffic
 
 
 def _fqc_expansions(ctx: _Context, _):
-    k2, kbar = ctx.params.kappa2, ctx.params.kappa_bar
-    denom = ctx.a_alpha + ctx.b_alpha
-    s1 = ctx.kernel.s1
-    _, eta0 = ctx.evaluate(_exact_limits)
-    return _records(
-        ModelKind.FQC,
-        2 * ctx.abm1 * (k2 * ctx.b_alpha * (ctx.a_1mb + ctx.b_1mb) / denom ** 2
-                        + (kbar + (ctx.beta - 2) * k2) * s1 / denom),
-        (1, -1, 0),
-        2 * ctx.b_alpha * eta0 / denom, (1, -1, 0))
-
-
-def fqc_expansions(params: MaterialParams, m: int, n: int):
     """Leading error terms against (kappa0, eta0), both of order z0^(n-m).
 
     With D = (A+B)/2 - B_alpha z0^k + O(z0^(2k)), k = n - m, expanding the
@@ -468,8 +443,16 @@ def fqc_expansions(params: MaterialParams, m: int, n: int):
 
     Confirmed by high-precision sweeps.
     """
-    _index(ModelKind.FQC, n, m)
-    return _context(params).evaluate(_fqc_expansions)
+    k2, kbar = ctx.params.kappa2, ctx.params.kappa_bar
+    denom = ctx.a_alpha + ctx.b_alpha
+    s1 = ctx.kernel.s1
+    _, eta0 = ctx.evaluate(_exact_limits)
+    return _records(
+        ModelKind.FQC,
+        2 * ctx.abm1 * (k2 * ctx.b_alpha * (ctx.a_1mb + ctx.b_1mb) / denom ** 2
+                        + (kbar + (ctx.beta - 2) * k2) * s1 / denom),
+        (1, -1, 0),
+        2 * ctx.b_alpha * eta0 / denom, (1, -1, 0))
 
 
 # Aggregates.
@@ -490,15 +473,18 @@ def coefficients(params: MaterialParams, model: ModelKind,
     return fqc_coefficients(params, m, n)
 
 
+_EXPANSIONS = {ModelKind.EXACT: _exact_expansions,
+               ModelKind.QQC: _qqc_expansions,
+               ModelKind.FQC: _fqc_expansions}
+
+
 def expansions(params: MaterialParams, model: ModelKind,
                n: int, m: Optional[int] = None):
-    """Leading error terms for the models with closed-form expansions."""
-    if model is ModelKind.EXACT:
-        return exact_expansions(params, n)
-    if model is ModelKind.QQC:
-        return qqc_expansions(params, m, n)
-    if model is ModelKind.FQC:
-        return fqc_expansions(params, m, n)
-    _index(model, n, m)
-    raise ValueError("no closed-form expansion is implemented for the QC "
-                     "interface elimination")
+    """`model`'s (kappa, eta) leading error terms, which depend on neither
+    n nor m; QC has none.  Refuses the (n, m) that `coefficients` refuses."""
+    check_indices(model, n, m)
+    formula = _EXPANSIONS.get(model)
+    if formula is None:
+        raise ValueError("no closed-form expansion is implemented for the "
+                         "QC interface elimination")
+    return _context(params).evaluate(formula)

@@ -46,7 +46,7 @@ from .kernels import HyperbolicKernel
 from .material import (ConvergenceError, EffectiveCoefficients,
                        MaterialParams, ModelKind, SingularJacobianError,
                        bonded_region_roots, characteristic_roots,
-                       check_interface, force_law)
+                       check_indices, force_law)
 
 RESIDUAL_TOL = 1e-12
 MAX_ITERATIONS = 50
@@ -75,13 +75,10 @@ class ChainConfig:
 def chain_config(params: MaterialParams, model: ModelKind, n: int,
                  m: Optional[int] = None,
                  j_max: Optional[int] = None) -> ChainConfig:
-    """Validate index ordering per model stencil and fill the default tail."""
+    """Check (n, m) and j_max, and fill the default tail."""
+    check_indices(model, n, m)
     if model is ModelKind.EXACT:
-        if n < 2:
-            raise ValueError(f"exact assembly requires n >= 2, got n={n}")
         m = None
-    else:
-        check_interface(model, m, n)
     if j_max is None:
         j_max = n + default_tail(params)
     if j_max < n + default_tail(params):
@@ -193,13 +190,19 @@ def linear_system(config: ChainConfig):
     return a_mat, p_vec
 
 
-def assemble_residual(config: ChainConfig,
-                      field: DisplacementField) -> np.ndarray:
-    """Left-hand sides of every equilibrium row at the given field."""
-    u = np.asarray(field.u, dtype=float)
+def _sites(config: ChainConfig, u) -> np.ndarray:
+    """`u` as a float array, which must hold sites 0 .. j_max."""
+    u = np.array(u, dtype=float)
     if u.shape != (config.j_max + 1,):
         raise ValueError(
             f"field length {u.shape[0]} does not match j_max={config.j_max}")
+    return u
+
+
+def assemble_residual(config: ChainConfig,
+                      field: DisplacementField) -> np.ndarray:
+    """Left-hand sides of every equilibrium row at the given field."""
+    u = _sites(config, field.u)
     a_mat, p_vec = linear_system(config)
     return _residual(a_mat, p_vec, force_law(config.params), config.n, u,
                      field.P)
@@ -247,10 +250,7 @@ def assemble_energy(config: ChainConfig, field: DisplacementField) -> float:
     """
     if not config.model.has_energy:
         raise ValueError("FQC is force-based and has no associated energy")
-    u = np.asarray(field.u, dtype=float)
-    if u.shape != (config.j_max + 1,):
-        raise ValueError(
-            f"field length {u.shape[0]} does not match j_max={config.j_max}")
+    u = _sites(config, field.u)
     law = force_law(config.params)
     n = config.n
     total = -field.P * u[0]
@@ -335,13 +335,8 @@ def newton_solve(config: ChainConfig, P: float,
     Raises SingularJacobianError where 1 + g F'(t) vanishes relative to
     its terms and ConvergenceError after 50 iterations.
     """
-    size = config.j_max + 1
-    if u_init is None:
-        u = np.zeros(size)
-    else:
-        u = np.array(u_init.u, dtype=float)
-        if u.shape != (size,):
-            raise ValueError("u_init length does not match config")
+    u = (np.zeros(config.j_max + 1) if u_init is None
+         else _sites(config, u_init.u))
     law = force_law(config.params)
     a_mat, p_vec, cols = _tip_columns(config)
     n = config.n
@@ -396,17 +391,14 @@ def oracle_coefficients(config: ChainConfig) -> EffectiveCoefficients:
 
 def reconstruct_solution(params: MaterialParams, n: int, u_n: float, P: float,
                          j_max: Optional[int] = None):
-    """Analytic exact-model field from the crack-region ansatz.
+    """Analytic field on the sites of the exact chain `chain_config` builds.
 
     Evaluates u_j = a + b j + e+ z0^-j + e- z0^j through the scaled
     amplitude e+ z0^-j = (e+ z0^-n) z0^(n-j), so no unscaled hyperbolic
     value appears; the bonded region follows the two-term recursion from
     the seed (u_{n-1}, u_n).
     """
-    if n < 2:
-        raise ValueError(f"reconstruction requires n >= 2, got n={n}")
-    if j_max is None:
-        j_max = n + default_tail(params)
+    j_max = chain_config(params, ModelKind.EXACT, n, None, j_max).j_max
     roots = characteristic_roots(params)
     ker = HyperbolicKernel(roots.z0)
     kbar = params.kappa_bar

@@ -19,7 +19,7 @@ two roots with magnitude <= 1 are z1 and z2; the derived combinations
 alpha = -z1 z2 and beta = z1 + z2 drive every closed-form coefficient.
 At kappa2 = 0 the quartic is z times a quadratic: z1 = 0 and z0 is undefined.
 
-`ModelKind`, `check_interface` and `EffectiveCoefficients` sit here, shared
+`ModelKind`, `check_indices` and `EffectiveCoefficients` sit here, shared
 by the closed forms (`effective`) and the chain oracle (`lattice`).  So do
 `ParameterError` and the chain solvers' `SingularJacobianError` and
 `ConvergenceError`, so that a caller can catch all three without importing
@@ -126,8 +126,14 @@ class ModelKind(enum.Enum):
 MIN_INTERFACE = {ModelKind.QC: 3, ModelKind.QQC: 2, ModelKind.FQC: 1}
 
 
-def check_interface(model: ModelKind, m: Optional[int], n: int):
-    """Raise ValueError unless MIN_INTERFACE[model] <= m < n."""
+def check_indices(model: ModelKind, n: int, m: Optional[int] = None):
+    """Raise ValueError unless (n, m) indexes a chain of `model`: n >= 1
+    for the exact model, which ignores m, and MIN_INTERFACE[model] <= m < n
+    for an approximation.  The closed forms and the chain both check here."""
+    if model is ModelKind.EXACT:
+        if n < 1:
+            raise ValueError(f"exact model requires n >= 1, got n={n}")
+        return
     if m is None:
         raise ValueError(f"{model.value} requires an interface index m")
     if not (MIN_INTERFACE[model] <= m < n):

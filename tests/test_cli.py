@@ -81,6 +81,15 @@ class TestInvalidIndices:
         assert result.exit_code == 2
         assert "error:" in result.output
 
+    def test_exact_chain_from_n_1(self, runner):
+        # The exact model is defined, in closed form and on the chain, from
+        # n = 1; n = 0 is refused with the one index rule's message.
+        args = ["coefficients", "--oracle", "--model", "exact"]
+        assert runner.invoke(main, args + ["--n", "1"]).exit_code == 0
+        result = runner.invoke(main, args + ["--n", "0"])
+        assert result.exit_code == 2
+        assert "exact model requires n >= 1" in result.output
+
     def test_negative_arc_length_exits_2(self, runner):
         result = runner.invoke(main, ["trace", "--smax", "-1"])
         assert result.exit_code == 2
@@ -342,12 +351,11 @@ PUBLIC_NAMES = {
     "SingularJacobianError", "alpha_beta_residuals", "assemble_energy",
     "assemble_residual", "bonded_region_roots", "chain_config",
     "characteristic_roots", "coefficients", "compare_curves",
-    "crack_region_root", "exact_coefficients", "exact_expansions",
-    "exact_limits", "expansions", "fold_points", "force_law",
-    "fqc_coefficients", "fqc_expansions", "kernel_for", "limits",
-    "linear_system", "lipschitz_bound", "newton_solve",
-    "oracle_coefficients", "qc_coefficients", "qc_coefficients_qmatrix",
-    "qc_limit", "qqc_coefficients", "qqc_expansions",
+    "crack_region_root", "exact_coefficients", "exact_limits",
+    "expansions", "fold_points", "force_law", "fqc_coefficients",
+    "kernel_for", "limits", "linear_system", "lipschitz_bound",
+    "newton_solve", "oracle_coefficients", "qc_coefficients",
+    "qc_coefficients_qmatrix", "qc_limit", "qqc_coefficients",
     "reconstruct_solution", "solve_branches", "trace_curve", "validate",
 }
 

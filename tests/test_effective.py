@@ -5,7 +5,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crackqc import effective as eff
@@ -20,6 +20,15 @@ from conftest import random_params
 
 REF_N = 104
 REF_M = 100
+
+
+def _expansions_of(model):
+    """`expansions` for `model` in the (params, m, n) order of the
+    approximations' coefficient functions."""
+    def call(params, m, n):
+        return eff.expansions(params, model, n, m)
+    call.__name__ = f"{model.value}_expansions"
+    return call
 
 
 class TestExact:
@@ -182,6 +191,9 @@ class TestOracleEquivalence:
                st.floats(-8, math.log10(300)).map(lambda x: 10 ** x)),
            log_k3=st.floats(-4, 3), n=st.integers(6, 900),
            gap=st.integers(2, 12))
+    # The exact chain's shortest crack, n = 1, at the reference set.
+    @example(log_k1=math.log10(4), ratio=0.1, log_k3=math.log10(20), n=1,
+             gap=2)
     def test_wide_box(self, log_k1, ratio, log_k3, n, gap):
         # The same 1e-8 gate past the random_params box: kappa1 in
         # [0.1, 100], kappa2/kappa1 in [-0.2, -1e-3] or [1e-8, 300] and
@@ -252,7 +264,8 @@ class TestExpansions:
             pm = self._mp_params()
             kappa0, eta0 = eff.exact_limits(pm)
             z0 = characteristic_roots(pm).z0
-            records = {r.quantity: r for r in eff.exact_expansions(pm, 10)}
+            records = {r.quantity: r for r in eff.expansions(
+                pm, ModelKind.EXACT, 10)}
             n = 20
             err_k = eff.exact_coefficients(pm, n).kappa - kappa0
             rk = records["kappa"]
@@ -271,7 +284,7 @@ class TestExpansions:
             kappa0, eta0 = eff.exact_limits(pm)
             z0 = characteristic_roots(pm).z0
             records = {r.quantity: r
-                       for r in eff.qqc_expansions(pm, 10, 14)}
+                       for r in eff.expansions(pm, ModelKind.QQC, 14, 10)}
             m, n = 10, 20
             coefs = eff.qqc_coefficients(pm, m, n)
             rk = records["kappa"]
@@ -291,7 +304,7 @@ class TestExpansions:
             kappa0, eta0 = eff.exact_limits(pm)
             z0 = characteristic_roots(pm).z0
             records = {r.quantity: r
-                       for r in eff.fqc_expansions(pm, 10, 14)}
+                       for r in eff.expansions(pm, ModelKind.FQC, 14, 10)}
             m, n = 20, 30
             coefs = eff.fqc_coefficients(pm, m, n)
             rk = records["kappa"]
@@ -460,13 +473,13 @@ class TestContextMemo:
 
     @pytest.mark.parametrize("call,bad", [
         (lambda p, m, n: eff.exact_coefficients(p, n), (None, 0)),
-        (lambda p, m, n: eff.exact_expansions(p, n), (None, -3)),
+        (lambda p, m, n: eff.expansions(p, ModelKind.EXACT, n), (None, -3)),
         (eff.qc_coefficients, (2, 5)),
         (eff.qqc_coefficients, (1, 4)),
         (eff.fqc_coefficients, (0, 3)),
         (eff.qc_coefficients_qmatrix, (2, 5)),
-        (eff.qqc_expansions, (0, 5)),
-        (eff.fqc_expansions, (9, 5))])
+        (_expansions_of(ModelKind.QQC), (0, 5)),
+        (_expansions_of(ModelKind.FQC), (9, 5))])
     def test_cached_index_does_not_skip_validation(self, params, call, bad):
         # (m, n) = (47, 50) gives QC and FQC the index 3 of (2, 5) and
         # (0, 3), and QQC the index 4 of (1, 4).  Each expansion keeps one
@@ -489,6 +502,10 @@ class TestContextMemo:
 
         for name in names:
             monkeypatch.setattr(eff, name, wrap(name, getattr(eff, name)))
+        # `expansions` reaches its formulas through a table.
+        monkeypatch.setattr(eff, "_EXPANSIONS", {
+            model: getattr(eff, formula.__name__)
+            for model, formula in eff._EXPANSIONS.items()})
         return calls
 
     def test_raising_formula_stores_nothing(self, params, monkeypatch):

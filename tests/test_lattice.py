@@ -20,7 +20,7 @@ from crackqc.lattice import (ConvergenceError, DisplacementField,
                              chain_config, default_tail, linear_system,
                              newton_solve, oracle_coefficients,
                              reconstruct_solution)
-from crackqc.material import force_law, validate
+from crackqc.material import MIN_INTERFACE, force_law, validate
 
 from conftest import random_params
 
@@ -48,7 +48,7 @@ class TestConfig:
                                         rel=1e-12), kind
 
     @pytest.mark.parametrize("model,m,n", [
-        (ModelKind.EXACT, None, 1),
+        (ModelKind.EXACT, None, 0),
         (ModelKind.QC, 2, 10),
         (ModelKind.QC, 6, 6),
         (ModelKind.QQC, 1, 10),
@@ -59,6 +59,31 @@ class TestConfig:
     def test_index_validation(self, params, model, m, n):
         with pytest.raises(ValueError):
             chain_config(params, model, n, m)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_one_index_rule(self, params, model, n):
+        # The closed forms, the chain and (for the exact model) the
+        # reconstruction accept the same (n, m), and refuse the rest with
+        # one message: n >= 1 for the exact model, MIN_INTERFACE <= m < n
+        # for an approximation.
+        def outcome(call, *args):
+            try:
+                call(*args)
+            except ValueError as exc:
+                return str(exc)
+            return "accepted"
+
+        for m in (None, *range(n + 1)):
+            got = {outcome(eff.coefficients, params, model, n, m),
+                   outcome(chain_config, params, model, n, m)}
+            if model is ModelKind.EXACT:
+                got.add(outcome(reconstruct_solution, params, n, 0.1, 0.2))
+                accepted = n >= 1
+            else:
+                accepted = m is not None and MIN_INTERFACE[model] <= m < n
+            assert len(got) == 1, (m, got)
+            assert (got == {"accepted"}) == accepted, (m, got)
 
     def test_jmax_needs_tail(self, params):
         # Fewer than five rows past the tip cannot hold the closure rows
@@ -450,6 +475,18 @@ class TestReconstruction:
         long = newton_solve(chain_config(params, ModelKind.EXACT, n,
                                          j_max=n + 80), 1.0)
         assert short.u[n] == pytest.approx(long.u[n], abs=1e-12)
+
+    def test_short_tail_raises_like_chain_config(self, params):
+        # Fewer than five rows past the tip, or j_max < n, is refused with
+        # the chain's own message: no chain of that length can be checked
+        # against the field.
+        n = 20
+        for j_max in (n + 4, n - 3):
+            with pytest.raises(ValueError) as chain:
+                chain_config(params, ModelKind.EXACT, n, None, j_max)
+            with pytest.raises(ValueError) as rebuilt:
+                reconstruct_solution(params, n, 0.1, 0.7, j_max=j_max)
+            assert str(rebuilt.value) == str(chain.value)
 
     def test_random_params_roundtrip(self, rng):
         for _ in range(10):
