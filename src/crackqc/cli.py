@@ -16,6 +16,7 @@ input.  All output is deterministic for identical inputs and seed.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import json
@@ -23,50 +24,74 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import click
-
 from . import bifurcation as bif
 from . import effective as eff
 from .material import (ModelKind, ParameterError, SingularJacobianError,
                        characteristic_roots, force_law, validate)
 
 _MODEL_CHOICES = ["exact", "qc", "qqc", "fqc", "all"]
+# name -> (command, its flags as (flag, argparse keywords)); each flag's
+# dest (`k1`, `as_json`, ...) is also its key in a --config file.
+_COMMANDS = {}
 
 
-def _load_config(ctx, param, value):
-    if value is None:
-        return None
-    with open(value, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise click.UsageError("config file must hold a JSON object")
-    ctx.default_map = dict(ctx.default_map or {})
-    ctx.default_map.update(data)
-    return value
+def _option(flag, default, text="", **keywords):
+    """A flag that takes a value; its help ends with its default."""
+    return flag, dict(default=default, **keywords,
+                      help=f"{text} [default: %(default)s]".lstrip())
 
 
-def _options(*decorators):
-    def apply(func):
-        for dec in reversed(decorators):
-            func = dec(func)
+_PARAMS = (("--config", dict(metavar="FILE", help="JSON file with defaults "
+                             "for any flag; flags win.")),
+           _option("--k1", 4.0, type=float), _option("--k2", 0.4, type=float),
+           _option("--k3", 20.0, type=float),
+           _option("--ucut", 0.5, type=float))
+_INDICES = (_option("--m", 100, type=int), _option("--n", 104, type=int))
+_JSON = ("--json", dict(dest="as_json", action="store_true"))
+
+
+def _command(name, *specs):
+    def register(func):
+        _COMMANDS[name] = func, specs
         return func
-    return apply
+    return register
 
 
-_param_options = _options(
-    click.option("--config", type=click.Path(exists=True, dir_okay=False),
-                 callback=_load_config, is_eager=True, expose_value=False,
-                 help="JSON file with defaults for any flag; flags win."),
-    click.option("--k1", type=float, default=4.0, show_default=True),
-    click.option("--k2", type=float, default=0.4, show_default=True),
-    click.option("--k3", type=float, default=20.0, show_default=True),
-    click.option("--ucut", type=float, default=0.5, show_default=True))
+def _joined(argv):
+    """Join each flag that takes a value to the token after it, so that
+    `--k2 -1e-05` reads as `--k2=-1e-05`, not as two flags."""
+    valued = {flag for _, specs in _COMMANDS.values()
+              for flag, keywords in specs if "action" not in keywords}
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in valued else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
 
-_index_options = _options(
-    click.option("--m", type=int, default=100, show_default=True),
-    click.option("--n", type=int, default=104, show_default=True))
 
-_json_option = click.option("--json", "as_json", is_flag=True)
+def _config_flags(parser, path, specs):
+    """A --config file's flags, as tokens that pass each flag's type."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        parser.error(f"--config: {exc}")
+    if not isinstance(data, dict):
+        parser.error("config file must hold a JSON object")
+    flags = []
+    for flag, keywords in specs:
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        if dest not in data:
+            continue
+        value, switch = data[dest], "action" in keywords
+        if type(value) not in ((bool,) if switch else (str, int, float)):
+            parser.error(f"--config: {dest} = {json.dumps(value)} is not " +
+                         ("true or false" if switch else "a string or number"))
+        if not switch:
+            flags.append(f"{flag}={value}")
+        elif value:
+            flags.append(flag)
+    return flags
 
 
 @contextlib.contextmanager
@@ -84,12 +109,12 @@ def _gate(k1, k2, k3, ucut):
         params = validate(k1, k2, k3, ucut)
         characteristic_roots(params)
     except ParameterError as exc:
-        click.echo(f"invalid parameters [{exc.code}]: {exc}", err=True)
+        print(f"invalid parameters [{exc.code}]: {exc}", file=sys.stderr)
         sys.exit(2)
     try:
         yield params
     except (ValueError, ArithmeticError, SingularJacobianError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 
 
@@ -103,33 +128,23 @@ def _fmt(x: Optional[float]) -> str:
     return "nan" if x is None else repr(float(x))
 
 
-@click.group()
-def main():
-    """1-D lattice fracture model: coefficients, oracle, continuation."""
-
-
-@main.command("validate")
-@_param_options
+@_command("validate", *_PARAMS)
 def cmd_validate(k1, k2, k3, ucut):
     """Check parameter admissibility and print derived constants."""
     with _gate(k1, k2, k3, ucut) as params:
         roots = characteristic_roots(params)
-        click.echo(f"kappa_bar = {_fmt(params.kappa_bar)}")
-        click.echo(f"delta_disc = {_fmt(params.delta_disc)}")
-        click.echo(f"z0 = {_fmt(roots.z0)}")
-        click.echo(f"z1 = {_fmt(roots.z1)}  z2 = {_fmt(roots.z2)}")
-        click.echo(f"alpha = {_fmt(roots.alpha)}  beta = {_fmt(roots.beta)}")
-        click.echo("OK")
+        print(f"kappa_bar = {_fmt(params.kappa_bar)}")
+        print(f"delta_disc = {_fmt(params.delta_disc)}")
+        print(f"z0 = {_fmt(roots.z0)}")
+        print(f"z1 = {_fmt(roots.z1)}  z2 = {_fmt(roots.z2)}")
+        print(f"alpha = {_fmt(roots.alpha)}  beta = {_fmt(roots.beta)}")
+        print("OK")
 
 
-@main.command("coefficients")
-@_param_options
-@_index_options
-@click.option("--model", type=click.Choice(_MODEL_CHOICES), default="all",
-              show_default=True)
-@click.option("--oracle", is_flag=True,
-              help="Also run the full-chain linear-solve oracle.")
-@_json_option
+@_command("coefficients", *_PARAMS, *_INDICES,
+          _option("--model", "all", choices=_MODEL_CHOICES),
+          ("--oracle", dict(action="store_true", help="Also run the "
+                            "full-chain linear-solve oracle.")), _JSON)
 def cmd_coefficients(k1, k2, k3, ucut, m, n, model, oracle, as_json):
     """Closed-form (kappa, eta) per model, with limits and expansions."""
     if oracle:
@@ -166,36 +181,34 @@ def cmd_coefficients(k1, k2, k3, ucut, m, n, model, oracle, as_json):
                 worst = max(worst, diff)
             report["models"][kind.value] = entry
     if as_json:
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        click.echo(f"kappa0 = {_fmt(limits['kappa0'])}  "
-                   f"eta0 = {_fmt(limits['eta0'])}")
-        click.echo(f"eta0_qc = {_fmt(limits['eta0_qc'])}  "
-                   f"gap = {_fmt(limits['gap'])}")
+        print(f"kappa0 = {_fmt(limits['kappa0'])}  "
+              f"eta0 = {_fmt(limits['eta0'])}")
+        print(f"eta0_qc = {_fmt(limits['eta0_qc'])}  "
+              f"gap = {_fmt(limits['gap'])}")
         for name, entry in report["models"].items():
             line = (f"{name:5s} kappa = {_fmt(entry['kappa'])}  "
                     f"eta = {_fmt(entry['eta'])}")
             if oracle:
                 line += f"  |formula - oracle| = {_fmt(entry['oracle_diff'])}"
-            click.echo(line)
+            print(line)
     if oracle and worst > lat.ORACLE_TOL:
-        click.echo(f"oracle mismatch: {worst:.3e} > {lat.ORACLE_TOL:.0e}",
-                   err=True)
+        print(f"oracle mismatch: {worst:.3e} > {lat.ORACLE_TOL:.0e}",
+              file=sys.stderr)
         sys.exit(1)
 
 
-@main.command("limits")
-@_param_options
-@_json_option
+@_command("limits", *_PARAMS, _JSON)
 def cmd_limits(k1, k2, k3, ucut, as_json):
     """Macroscopic-crack limits kappa0, eta0, eta0_qc, gap."""
     with _gate(k1, k2, k3, ucut) as params:
         limits = dataclasses.asdict(eff.limits(params))
     if as_json:
-        click.echo(json.dumps(limits, indent=2, sort_keys=True))
+        print(json.dumps(limits, indent=2, sort_keys=True))
     else:
         for name, value in limits.items():
-            click.echo(f"{name} = {_fmt(value)}")
+            print(f"{name} = {_fmt(value)}")
 
 
 def _write_curve(curve: bif.BifurcationCurve, path: Optional[Path]):
@@ -204,27 +217,28 @@ def _write_curve(curve: bif.BifurcationCurve, path: Optional[Path]):
         lines.append(f"{_fmt(s)},{_fmt(u)},{_fmt(p)},{_fmt(r)}")
     text = "\n".join(lines) + "\n"
     if path is None:
-        click.echo(text, nl=False)
+        print(text, end="")
     else:
-        path.write_text(text, encoding="utf-8")
-        click.echo(f"wrote {path}")
+        try:
+            path.write_text(text, encoding="utf-8")
+        except OSError as exc:  # an unwritable --out is invalid input
+            raise ValueError(f"cannot write --out: {exc}") from exc
+        print(f"wrote {path}")
 
 
-@main.command("trace")
-@_param_options
-@_index_options
-@click.option("--model", type=click.Choice(_MODEL_CHOICES), default="exact",
-              show_default=True)
-@click.option("--smax", type=float, default=5.0, show_default=True)
-@click.option("--step", type=float, default=1e-3, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
-              default=None)
+@_command("trace", *_PARAMS, *_INDICES,
+          _option("--model", "exact", choices=_MODEL_CHOICES),
+          _option("--smax", 5.0, type=float),
+          _option("--step", 1e-3, type=float),
+          ("--out", dict(type=Path, metavar="FILE")))
 def cmd_trace(k1, k2, k3, ucut, m, n, model, smax, step, out):
     """Arc-length continuation; CSV columns s,u,P,residual."""
     with _gate(k1, k2, k3, ucut) as params:
         kinds = _models(model)
         if len(kinds) > 1 and out is None:
-            raise click.UsageError("--model all requires --out")
+            raise ValueError("--model all requires --out")
+        if out is not None and out.is_dir():
+            raise ValueError(f"--out {out} is a directory")
         law = force_law(params)
         for kind in kinds:
             coefs = eff.coefficients(params, kind, n, m)
@@ -239,12 +253,8 @@ def cmd_trace(k1, k2, k3, ucut, m, n, model, smax, step, out):
                     f"{out.stem}_{kind.value}{out.suffix or '.csv'}"))
 
 
-@main.command("folds")
-@_param_options
-@_index_options
-@click.option("--model", type=click.Choice(_MODEL_CHOICES), default="all",
-              show_default=True)
-@_json_option
+@_command("folds", *_PARAMS, *_INDICES,
+          _option("--model", "all", choices=_MODEL_CHOICES), _JSON)
 def cmd_folds(k1, k2, k3, ucut, m, n, model, as_json):
     """Saddle-node fold points of the effective equation per model."""
     with _gate(k1, k2, k3, ucut) as params:
@@ -257,23 +267,19 @@ def cmd_folds(k1, k2, k3, ucut, m, n, model, as_json):
                 {"u": f.u_star, "P": f.P_star, "degenerate": f.degenerate}
                 for f in bif.fold_points(eq)]
     if as_json:
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for name, folds in report.items():
-            click.echo(f"{name}: {len(folds)} fold(s)")
+            print(f"{name}: {len(folds)} fold(s)")
             for f in folds:
                 mark = " (degenerate)" if f["degenerate"] else ""
-                click.echo(f"  u* = {_fmt(f['u'])}  P* = {_fmt(f['P'])}{mark}")
+                print(f"  u* = {_fmt(f['u'])}  P* = {_fmt(f['P'])}{mark}")
 
 
-@main.command("compare")
-@_param_options
-@_index_options
-@click.option("--model", type=click.Choice(["qc", "qqc", "fqc"]),
-              default="qqc", show_default=True)
-@click.option("--smax", type=float, default=2.0, show_default=True)
-@click.option("--step", type=float, default=1e-3, show_default=True)
-@_json_option
+@_command("compare", *_PARAMS, *_INDICES,
+          _option("--model", "qqc", choices=["qc", "qqc", "fqc"]),
+          _option("--smax", 2.0, type=float),
+          _option("--step", 1e-3, type=float), _JSON)
 def cmd_compare(k1, k2, k3, ucut, m, n, model, smax, step, as_json):
     """Sup-distance between the exact curve and one approximation."""
     with _gate(k1, k2, k3, ucut) as params:
@@ -286,22 +292,20 @@ def cmd_compare(k1, k2, k3, ucut, m, n, model, smax, step, as_json):
                                     bif.trace_curve(eq_b, smax, step))
         bound, derivation = bif.lipschitz_bound(eq_a, eq_b, smax)
     if as_json:
-        click.echo(json.dumps({"model": model, "sup_distance": sup,
-                               "lipschitz_bound": bound,
-                               "derivation": derivation},
-                              indent=2, sort_keys=True))
+        print(json.dumps({"model": model, "sup_distance": sup,
+                          "lipschitz_bound": bound, "derivation": derivation},
+                         indent=2, sort_keys=True))
     else:
-        click.echo(f"sup |du| + |dP| (exact vs {model}) = {_fmt(sup)}")
-        click.echo(f"lipschitz bound = {_fmt(bound)}")
-        click.echo(derivation)
+        print(f"sup |du| + |dP| (exact vs {model}) = {_fmt(sup)}")
+        print(f"lipschitz bound = {_fmt(bound)}")
+        print(derivation)
     if sup > bound:
         sys.exit(1)
 
 
-@main.command("reproduce-tables")
-@click.option("--perturb-k1", type=float, default=0.0, show_default=True,
-              help="Diagnostic offset added to kappa1 before computing.")
-@_json_option
+@_command("reproduce-tables",
+          _option("--perturb-k1", 0.0, "Diagnostic offset added to kappa1 "
+                  "before computing.", type=float), _JSON)
 def cmd_reproduce_tables(perturb_k1, as_json):
     """Compare computed coefficients against the published reference tables.
 
@@ -321,35 +325,55 @@ def cmd_reproduce_tables(perturb_k1, as_json):
     max_err = max(max(r["err_kappa"], r["err_eta"]) for r in rows)
     ok = max_err <= checks.TABLE_TOL
     if as_json:
-        click.echo(json.dumps({"rows": rows, "max_error": max_err,
-                               "pass": ok}, indent=2, sort_keys=True))
+        print(json.dumps({"rows": rows, "max_error": max_err, "pass": ok},
+                         indent=2, sort_keys=True))
     else:
         for r in rows:
-            click.echo(f"m={r['m']:3d} {r['model']:5s} "
-                       f"kappa = {_fmt(r['kappa'])} (ref {_fmt(r['ref_kappa'])}, "
-                       f"err {r['err_kappa']:.3e})  "
-                       f"eta = {_fmt(r['eta'])} (ref {_fmt(r['ref_eta'])}, "
-                       f"err {r['err_eta']:.3e})")
-        click.echo(f"max error = {max_err:.3e}  "
-                   f"{'PASS' if ok else 'FAIL'} "
-                   f"(tolerance {checks.TABLE_TOL:g})")
+            print(f"m={r['m']:3d} {r['model']:5s} "
+                  f"kappa = {_fmt(r['kappa'])} (ref {_fmt(r['ref_kappa'])}, "
+                  f"err {r['err_kappa']:.3e})  "
+                  f"eta = {_fmt(r['eta'])} (ref {_fmt(r['ref_eta'])}, "
+                  f"err {r['err_eta']:.3e})")
+        print(f"max error = {max_err:.3e}  {'PASS' if ok else 'FAIL'} "
+              f"(tolerance {checks.TABLE_TOL:g})")
     if not ok:
         sys.exit(1)
 
 
-@main.command("check")
-@_param_options
-@click.option("--seed", type=int, default=0, show_default=True)
+@_command("check", *_PARAMS, _option("--seed", 0, type=int))
 def cmd_check(k1, k2, k3, ucut, seed):
     """Run the cross-module invariant suites; exit 1 on any failure."""
     from . import checks
     failed = False
     with _gate(k1, k2, k3, ucut) as params:
         for name, ok, detail in checks.run_suites(params, seed):
-            click.echo(f"{name}: {'PASS' if ok else 'FAIL (' + detail + ')'}")
+            print(f"{name}: {'PASS' if ok else 'FAIL (' + detail + ')'}")
             failed = failed or not ok
     if failed:
         sys.exit(1)
+
+
+def main(argv=None):
+    """1-D lattice fracture model: coefficients, oracle, continuation."""
+    parser = argparse.ArgumentParser(prog="crackqc", description=main.__doc__,
+                                     allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     required=True)
+    for name, (func, specs) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=func.__doc__.split("\n")[0],
+                                  description=func.__doc__, allow_abbrev=False)
+        for flag, keywords in specs:
+            sub.add_argument(flag, **keywords)
+    argv = _joined(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
+    func, specs = _COMMANDS[args.command]
+    if getattr(args, "config", None) is not None:
+        # The file's flags go first, so the command line's own win.
+        at = argv.index(args.command) + 1
+        flags = _config_flags(parser, args.config, specs)
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
+    func(**{key: value for key, value in vars(args).items()
+            if key not in ("command", "config")})
 
 
 if __name__ == "__main__":

@@ -85,7 +85,8 @@ def validate(kappa1, kappa2, kappa3, u_cut) -> MaterialParams:
     Raises ParameterError with a distinct code for each violated condition:
     "kappa1" (kappa1 <= 0), "kappa_bar" (kappa1 + 4 kappa2 <= 0),
     "kappa3" (kappa3 <= 0), "u_cut" (u_cut <= 0), "delta"
-    (delta_disc < 0, the oscillatory-root regime), or "not_finite".
+    (delta_disc < 0, the oscillatory-root regime), or "not_finite" (an
+    input, kappa_bar or delta_disc is infinite or NaN).
     """
     for name, value in (("kappa1", kappa1), ("kappa2", kappa2),
                         ("kappa3", kappa3), ("u_cut", u_cut)):
@@ -107,6 +108,9 @@ def validate(kappa1, kappa2, kappa3, u_cut) -> MaterialParams:
             "delta",
             f"kappa_bar^2 + 8*kappa2*kappa3 = {delta_disc} < 0: "
             "complex bonded-region roots are unsupported")
+    for name, value in (("kappa_bar", kappa_bar), ("delta_disc", delta_disc)):
+        if not math.isfinite(float(value)):  # finite inputs that overflow
+            raise ParameterError("not_finite", f"{name} overflows to {value!r}")
     return MaterialParams(kappa1, kappa2, kappa3, u_cut, kappa_bar, delta_disc)
 
 

@@ -3,6 +3,9 @@ import pytest
 
 from crackqc.material import validate
 
+# The third-party packages in pyproject.toml's [project] dependencies.
+DEPENDENCIES = {"numpy", "scipy", "mpmath"}
+
 
 @pytest.fixture
 def params():

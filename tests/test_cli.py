@@ -1,12 +1,17 @@
+import ast
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
 import math
+import re
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import crackqc
 from crackqc import checks
@@ -14,10 +19,41 @@ from crackqc import effective as eff
 from crackqc.cli import main
 from crackqc.material import validate
 
+from conftest import DEPENDENCIES
+
+
+class _Tee(io.StringIO):
+    """One output stream that also copies what it gets into `mixed`."""
+
+    def __init__(self, mixed):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, text):
+        self.mixed.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Runs the CLI in this process: `invoke(main, args)` returns its exit
+    code, stdout, stderr and both interleaved as `output`."""
+
+    def invoke(self, cli, args):
+        mixed = io.StringIO()
+        out, err = _Tee(mixed), _Tee(mixed)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli(args)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code or 0
+        return SimpleNamespace(exit_code=code, stdout=out.getvalue(),
+                               stderr=err.getvalue(), output=mixed.getvalue())
+
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 class TestValidate:
@@ -58,6 +94,17 @@ class TestValidate:
                 assert result.exit_code == 2, k3
                 assert "invalid parameters [marginal]" in result.output, k3
         assert codes == {0, 2}
+
+    @pytest.mark.parametrize("command", [["validate"], ["limits"],
+                                         ["coefficients", "--oracle"]])
+    @pytest.mark.parametrize("params", [
+        ["--k1", "1e308", "--k2", "1e308"],                  # kappa_bar = inf
+        ["--k1", "1e300", "--k2", "-1e299", "--k3", "1e300"]])  # delta = nan
+    def test_overflowing_parameters_exit_2(self, runner, command, params):
+        result = runner.invoke(main, command + params)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("invalid parameters [not_finite]")
 
     def test_oscillatory_regime_exits_2(self, runner):
         result = runner.invoke(main, ["validate", "--k2", "-0.5"])
@@ -212,6 +259,18 @@ class TestTrace:
             text = (tmp_path / f"curve_{tag}.csv").read_text()
             assert text.startswith("s,u,P,residual\n")
 
+    @pytest.mark.parametrize("model", ["exact", "all"])
+    @pytest.mark.parametrize("out", ["missing/curve.csv", "."])
+    def test_unwritable_or_directory_out_exits_2(self, runner, tmp_path,
+                                                 model, out):
+        result = runner.invoke(main, ["trace", "--model", model,
+                                      "--smax", "0.002",
+                                      "--out", str(tmp_path / out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_defaults_and_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k1": 5.0, "smax": 0.002}))
@@ -222,6 +281,32 @@ class TestTrace:
         assert with_cfg.exit_code == 0
         assert with_cfg.output != plain.output
         assert override.output == plain.output
+
+    @pytest.mark.parametrize("command,content", [
+        ("validate", None),                             # no such file
+        ("validate", b"{bad"),                          # not JSON
+        ("validate", b'{"out": "caf\xe9.csv"}'),        # not UTF-8
+        ("validate", b"[4.0, 0.4]"),                    # not an object
+        ("validate", b'{"k1": [1, 2]}'),                # not a number
+        ("validate", b'{"k1": null}'),
+        ("trace", b'{"model": 7}'),                     # not a choice
+        ("trace", b'{"out": null}'),                    # not a string
+        ("limits", b'{"as_json": "no"}')])              # not true or false
+    def test_malformed_config_exits_2(self, runner, tmp_path, command,
+                                      content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "error: " in result.stderr
+
+    def test_config_int_for_float_flag(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k1": 5, "seed": 1, "unknown": None}))
+        assert runner.invoke(main, ["validate", "--config", str(cfg)]).output \
+            == runner.invoke(main, ["validate", "--k1", "5"]).output
 
 
 class TestFolds:
@@ -330,6 +415,76 @@ class TestCheck:
         ok, detail = checks._suite_expansion_orders(
             validate(k1, k2, k3, 0.5), None)
         assert ok, detail
+
+
+# Each command's flags, as its --help lists them.
+_PARAM_FLAGS = ["--config", "--k1", "--k2", "--k3", "--ucut"]
+_INDEX_FLAGS = ["--m", "--n"]
+FLAGS = {
+    "validate": _PARAM_FLAGS,
+    "coefficients": _PARAM_FLAGS + _INDEX_FLAGS + ["--model", "--oracle",
+                                                   "--json"],
+    "limits": _PARAM_FLAGS + ["--json"],
+    "trace": _PARAM_FLAGS + _INDEX_FLAGS + ["--model", "--smax", "--step",
+                                            "--out"],
+    "folds": _PARAM_FLAGS + _INDEX_FLAGS + ["--model", "--json"],
+    "compare": _PARAM_FLAGS + _INDEX_FLAGS + ["--model", "--smax", "--step",
+                                              "--json"],
+    "reproduce-tables": ["--perturb-k1", "--json"],
+    "check": _PARAM_FLAGS + ["--seed"],
+}
+
+
+class TestParsing:
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_help_names_exactly_the_flags(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", result.stdout))
+        assert named == set(FLAGS[command]) | {"--help"}
+
+    def test_short_help_is_help(self, runner):
+        for command in FLAGS:
+            short = runner.invoke(main, [command, "-h"])
+            assert short.exit_code == 0
+            assert short.stdout == runner.invoke(main, [command,
+                                                        "--help"]).stdout
+
+    @pytest.mark.parametrize("value,code,line", [
+        ("-1e-05", 0, "kappa_bar = 3.99996"),
+        ("-inf", 2, "invalid parameters [not_finite]: "
+                    "kappa2 must be finite, got -inf")])
+    def test_negative_value_in_exponent_form(self, runner, value, code, line):
+        result = runner.invoke(main, ["validate", "--k2", value])
+        assert result.exit_code == code
+        assert line in result.output.splitlines()
+
+    @pytest.mark.parametrize("args", [["check", "--se", "0"],
+                                      ["trace", "--ou", "curve.csv"],
+                                      ["limits", "--js"]])
+    def test_abbreviated_flag_exits_2(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (root / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"crackqc"}
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text(
+        encoding="utf-8"))
+    declared = {re.match(r"[\w.-]+", dep).group()
+                for dep in pyproject["project"]["dependencies"]}
+    assert third_party == declared == DEPENDENCIES
 
 
 def test_distribution_version_matches_package():

@@ -1,4 +1,5 @@
 import ast
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ from crackqc.lattice import (ConvergenceError, DisplacementField,
                              reconstruct_solution)
 from crackqc.material import MIN_INTERFACE, force_law, validate
 
-from conftest import random_params
+from conftest import DEPENDENCIES, random_params
 
 
 class TestConfig:
@@ -211,14 +212,22 @@ def test_import_loads_no_sparse_or_optimize(command, tmp_path):
     else:
         run = (f"sys.argv = {['crackqc', command] + CLI_COLD[command]!r}; "
                "runpy.run_module('crackqc.cli', run_name='__main__')")
-    _fresh_interpreter("import runpy, sys\n"
+    _fresh_interpreter("import sys\n"
+                       "before = sorted(sys.modules)\n"
+                       "import runpy\n"
                        "try:\n"
                        f"    {run}\n"
                        "finally:\n"
                        "    with open('modules.txt', 'w') as out:\n"
-                       "        out.write(repr(sorted(sys.modules)))\n",
+                       "        out.write(repr((before, sorted(sys.modules))))\n",
                        tmp_path)
-    loaded = set(ast.literal_eval((tmp_path / "modules.txt").read_text()))
+    before, loaded = map(set, ast.literal_eval(
+        (tmp_path / "modules.txt").read_text()))
+    # Of the installed distributions, only the declared dependencies load:
+    # the CLI's parser is the standard library's.
+    installed = importlib.metadata.packages_distributions()
+    assert {m.split(".")[0] for m in loaded - before} & set(installed) \
+        <= DEPENDENCIES
     if command is None:
         assert not {m for m in loaded if m.split(".")[0] == "scipy"}
     assert not {m for m in loaded if m.startswith(

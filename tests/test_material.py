@@ -33,6 +33,8 @@ class TestValidate:
         ((4.0, -0.5, 20.0, 0.5), "delta"),
         ((math.nan, 0.4, 20.0, 0.5), "not_finite"),
         ((4.0, math.inf, 20.0, 0.5), "not_finite"),
+        ((1e308, 1e308, 20.0, 0.5), "not_finite"),       # kappa_bar = inf
+        ((1e300, -1e299, 1e300, 0.5), "not_finite"),     # delta_disc = nan
     ])
     def test_rejections_carry_codes(self, args, code):
         with pytest.raises(ParameterError) as excinfo:
