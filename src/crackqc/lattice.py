@@ -24,9 +24,11 @@ fill.  `band_matvec` multiplies by it and `_factorize` factors it.
 file path (see `_band_lapack`): importing `scipy.linalg` would cost a CLI
 process more than all of its own work.
 
-`oracle_coefficients` extracts (kappa, eta) by pure linear algebra on the
-same factorization (a Schur complement onto the tip unknown).  Like the
-chain and Newton, it takes everything from `material` and nothing from
+Each `ChainConfig` assembles and factors its chain once, on first use
+(`ChainConfig.chain`); the oracle, Newton and `assemble_residual` all share
+that one factorization.  `oracle_coefficients` extracts (kappa, eta) from
+it by pure linear algebra (a Schur complement onto the tip unknown).  Like
+the chain and Newton, it takes everything from `material` and nothing from
 `effective`, so it is an independent oracle for every closed form.
 """
 
@@ -70,6 +72,19 @@ class ChainConfig:
     n: int
     m: Optional[int]
     j_max: int
+
+    @functools.cached_property
+    def chain(self):
+        """(ab, p, w_e, w_p, g, h): `linear_system`'s A and p, the columns
+        w_e = A^-1 e_n and w_p = A^-1 p of one factorization of A, and their
+        tip entries g, h.  Built on first use; the arrays are read-only."""
+        ab, p_vec = linear_system(self)
+        rhs = np.column_stack((np.zeros_like(p_vec), p_vec))
+        rhs[self.n, 0] = 1.0
+        cols = _factorize(ab)(rhs)
+        for array in (ab, p_vec, cols):
+            array.flags.writeable = False
+        return (ab, p_vec, *cols.T, *cols[self.n].tolist())
 
 
 def chain_config(params: MaterialParams, model: ModelKind, n: int,
@@ -203,15 +218,9 @@ def assemble_residual(config: ChainConfig,
                       field: DisplacementField) -> np.ndarray:
     """Left-hand sides of every equilibrium row at the given field."""
     u = _sites(config, field.u)
-    a_mat, p_vec = linear_system(config)
-    return _residual(a_mat, p_vec, force_law(config.params), config.n, u,
-                     field.P)
-
-
-def _residual(ab, p_vec, law, n, u, P) -> np.ndarray:
-    """A u + p P + F(u_n) e_n, the residual of every equilibrium row."""
-    residual = band_matvec(ab, u) + p_vec * P
-    residual[n] += law.force(u[n])
+    ab, p_vec = config.chain[:2]
+    residual = band_matvec(ab, u) + p_vec * field.P
+    residual[config.n] += force_law(config.params).force(u[config.n])
     return residual
 
 
@@ -313,59 +322,65 @@ def _factorize(ab: np.ndarray):
     return lambda rhs: dgbtrs(lu, KL, KU, rhs, piv)[0]
 
 
-def _tip_columns(config: ChainConfig):
-    """(ab, p, W) with W = A^-1 [e_n, p], from one factorization of A."""
-    a_mat, p_vec = linear_system(config)
-    rhs = np.zeros((config.j_max + 1, 2))
-    rhs[config.n, 0] = 1.0
-    rhs[:, 1] = p_vec
-    return a_mat, p_vec, _factorize(a_mat)(rhs)
-
-
 def newton_solve(config: ChainConfig, P: float,
                  u_init: Optional[DisplacementField] = None,
                  return_history: bool = False):
-    """Newton iteration with residual-norm halving, on one factorization.
+    """Newton iteration with residual-norm halving, on scalars at the tip.
 
     The Jacobian is A + F'(t) e_n e_n^T with t = u_n, so the full step from
-    any u lands on -(P w_p + f w_e), with the oracle's columns
-    w_e = A^-1 e_n, w_p = A^-1 p, g = (w_e)_n, h = (w_p)_n and
-    f = (F(t) - F'(t) (t + P h)) / (1 + g F'(t)).  Converges when the
-    max-norm residual of the full chain drops below 1e-12 (1 + |P|).
-    Raises SingularJacobianError where 1 + g F'(t) vanishes relative to
-    its terms and ConvergenceError after 50 iterations.
+    any u lands on -(P w_p + f w_e), with `ChainConfig.chain`'s w_e, w_p,
+    g, h and f = (F(t) - F'(t) (t + P h)) / (1 + g F'(t)).  So every iterate
+    is u = c u0 - (1 - c) (P w_p + phi w_e), whose residual is c r0 off the
+    tip and c r0_n - (1 - c) phi + F(t) at it, with r0 = A u0 + p P.  A step
+    of length s takes c to c' = (1 - s) c, phi to phi + s (f - phi) / (1 - c')
+    and t to t + s (-(P h + f g) - t); s halves, at most 20 times, until the
+    max-norm residual falls.  Below 1e-12 (1 + |P|) the field is formed and
+    its residual assembled; if that is not below too, the iteration goes on
+    from the field as u0.  history holds the residual norms of the start and
+    each iterate, the first and last assembled.  Raises SingularJacobianError
+    where 1 + g F'(t) vanishes relative to its terms, ConvergenceError after
+    50 iterations.
     """
     u = (np.zeros(config.j_max + 1) if u_init is None
          else _sites(config, u_init.u))
     law = force_law(config.params)
-    a_mat, p_vec, cols = _tip_columns(config)
+    ab, p_vec, w_e, w_p, g, h = config.chain
     n = config.n
-    (w_e, w_p), (g, h) = cols.T, cols[n]
     tol = RESIDUAL_TOL * (1 + abs(P))
-    norm = float(np.max(np.abs(_residual(a_mat, p_vec, law, n, u, P))))
-    history = [norm]
-    while not norm <= tol:
-        if len(history) > MAX_ITERATIONS:
-            raise ConvergenceError(
-                f"no convergence after {MAX_ITERATIONS} iterations; "
-                f"residual norm {norm:.3e}")
-        t = u[n]
-        slope = law.force_derivative(t)
-        pivot = 1 + g * slope
-        if abs(pivot) <= 1e-13 * (1 + abs(g * slope)):
-            raise SingularJacobianError(n, float(pivot))
-        f = (law.force(t) - slope * (t + P * h)) / pivot
-        step = -(P * w_p + f * w_e) - u
-        scale = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            trial = u + scale * step
-            trial_norm = float(np.max(np.abs(
-                _residual(a_mat, p_vec, law, n, trial, P))))
-            if trial_norm < norm:
-                break
-            scale /= 2
-        u, norm = trial, trial_norm
-        history.append(norm)
+    history = []
+    while True:
+        r0 = band_matvec(ab, u) + p_vec * P
+        t, r0_n = float(u[n]), float(r0[n])
+        r0[n] = 0.0
+        rest = float(np.max(np.abs(r0)))
+        norm = max(rest, abs(r0_n + law.force(t)))
+        history = history[:-1] + [norm]  # start or last iterate, assembled
+        if norm <= tol:
+            break
+        c, phi = 1.0, 0.0
+        while not norm <= tol:
+            if len(history) > MAX_ITERATIONS:
+                raise ConvergenceError(
+                    f"no convergence after {MAX_ITERATIONS} iterations; "
+                    f"residual norm {norm:.3e}")
+            slope = law.force_derivative(t)
+            pivot = 1 + g * slope
+            if abs(pivot) <= 1e-13 * (1 + abs(g * slope)):
+                raise SingularJacobianError(n, float(pivot))
+            f = (law.force(t) - slope * (t + P * h)) / pivot
+            s = 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                c_s = (1 - s) * c
+                phi_s = phi + s * (f - phi) / (1 - c_s)
+                t_s = t + s * (-(P * h + f * g) - t)
+                trial_norm = max(c_s * rest, abs(c_s * r0_n - (1 - c_s) * phi_s
+                                                 + law.force(t_s)))
+                if trial_norm < norm:
+                    break
+                s /= 2
+            c, phi, t, norm = c_s, phi_s, t_s, trial_norm
+            history.append(norm)
+        u = c * u - (1 - c) * (P * w_p + phi * w_e)
     field = DisplacementField(u=u, P=P)
     return (field, history) if return_history else field
 
@@ -384,7 +399,7 @@ def oracle_coefficients(config: ChainConfig) -> EffectiveCoefficients:
     eta = h/g.  Both columns come from one solve on one factorization of A,
     which is singular only where kappa = 0.
     """
-    g, h = _tip_columns(config)[2][config.n]
+    g, h = config.chain[4:]
     return EffectiveCoefficients(config.model, float(1 / g), float(h / g),
                                  config.n, config.m)
 

@@ -384,7 +384,155 @@ class TestOracle:
         assert o0.eta == pytest.approx(o1.eta, rel=1e-5)
 
 
+def _reference_newton(config, P, u_init=None):
+    """The full-vector iteration `newton_solve` replaced, step for step.
+
+    Every trial is formed as a whole field and its residual assembled by a
+    band matvec, on a factorization made for this call.  Returns
+    (field, history, trials), where trials counts the trial fields formed:
+    more trials than steps means some step was halved.
+    """
+    u = (np.zeros(config.j_max + 1) if u_init is None
+         else np.array(u_init.u, dtype=float))
+    law = force_law(config.params)
+    a_mat, p_vec = linear_system(config)
+    rhs = np.zeros((config.j_max + 1, 2))
+    rhs[config.n, 0] = 1.0
+    rhs[:, 1] = p_vec
+    cols = lat._factorize(a_mat)(rhs)
+    n = config.n
+    (w_e, w_p), (g, h) = cols.T, cols[n]
+
+    def residual(u):
+        r = lat.band_matvec(a_mat, u) + p_vec * P
+        r[n] += law.force(u[n])
+        return r
+
+    tol = lat.RESIDUAL_TOL * (1 + abs(P))
+    norm = float(np.max(np.abs(residual(u))))
+    history, trials = [norm], 0
+    while not norm <= tol:
+        if len(history) > lat.MAX_ITERATIONS:
+            raise ConvergenceError(f"residual norm {norm:.3e}")
+        t = u[n]
+        slope = law.force_derivative(t)
+        pivot = 1 + g * slope
+        if abs(pivot) <= 1e-13 * (1 + abs(g * slope)):
+            raise SingularJacobianError(n, float(pivot))
+        f = (law.force(t) - slope * (t + P * h)) / pivot
+        step = -(P * w_p + f * w_e) - u
+        scale = 1.0
+        for _ in range(lat.MAX_HALVINGS + 1):
+            trial = u + scale * step
+            trials += 1
+            trial_norm = float(np.max(np.abs(residual(trial))))
+            if trial_norm < norm:
+                break
+            scale /= 2
+        u, norm = trial, trial_norm
+        history.append(norm)
+    return DisplacementField(u=u, P=P), history, trials
+
+
+def _box_cases(rng, count):
+    """`count` (params, n, m) over the benchmark's sampling box: k1 in
+    [1, 8], k2/k1 in [0.01, 0.3], k3 in [0.5, 50], n in [20, 400] and
+    n - m in [2, 12]."""
+    for _ in range(count):
+        k1 = rng.uniform(1.0, 8.0)
+        params = validate(k1, k1 * rng.uniform(0.01, 0.3),
+                          rng.uniform(0.5, 50.0), 0.5)
+        n = int(rng.integers(20, 401))
+        yield params, n, n - int(rng.integers(2, 13))
+
+
+def _critical_load(config):
+    """Load at which the chain's physical branch ends: its first fold, or
+    where the tip bond reaches u_cut when there is none."""
+    orc = oracle_coefficients(config)
+    eq = EffectiveEquation(force_law(config.params), orc.kappa, orc.eta)
+    folds = fold_points(eq)
+    if folds:
+        return folds[0].P_star
+    return -orc.kappa * config.params.u_cut / orc.eta
+
+
 class TestNewton:
+    def test_matches_full_vector_reference(self):
+        # From a zero start at each load of a 0.2 .. 0.8 ramp up to the
+        # critical load, and warm-started along it, the scalar iteration
+        # returns the reference's fields bit for bit, in as many steps.
+        rng = np.random.default_rng(26)
+        for params, n, m in _box_cases(rng, 200):
+            for kind in ModelKind:
+                cfg = chain_config(params, kind, n, m)
+                load = _critical_load(cfg)
+                warm = ref_warm = None
+                for fraction in (0.2, 0.4, 0.6, 0.8):
+                    P = fraction * load
+                    for start, ref_start in ((None, None), (warm, ref_warm)):
+                        got, history = newton_solve(cfg, P, start, True)
+                        want, ref_history, _ = _reference_newton(
+                            cfg, P, ref_start)
+                        assert got.u.tobytes() == want.u.tobytes(), \
+                            (kind, n, m, fraction)
+                        assert len(history) == len(ref_history)
+                    warm, ref_warm = got, want
+
+    def test_returned_fields_are_honest(self):
+        # Random starts off the affine graph force halved steps.  Every
+        # returned field meets the tolerance by its assembled residual, whose
+        # norm is history[-1].  Where the reference converges within 20
+        # steps, so does the scalar iteration, through the same residual
+        # norms to within the tolerance, and to the same field up to the
+        # reference's roundoff: a full step from a start u0 lands on
+        # u0 + (target - u0) there, on target here.
+        rng = np.random.default_rng(5)
+        compared = halved = 0
+        for params, n, m in _box_cases(rng, 75):
+            for kind in ModelKind:
+                cfg = chain_config(params, kind, n, m)
+                P = float(rng.uniform(0.0, 0.9)) * _critical_load(cfg)
+                start = DisplacementField(
+                    rng.uniform(-0.5, 1.0, cfg.j_max + 1), P)
+                try:
+                    want, ref_history, trials = _reference_newton(
+                        cfg, P, start)
+                    steps = len(ref_history) - 1
+                except (ConvergenceError, SingularJacobianError):
+                    steps = None
+                try:
+                    got, history = newton_solve(cfg, P, start, True)
+                except (ConvergenceError, SingularJacobianError):
+                    assert steps is None or steps > 20, (kind, n, m)
+                    continue
+                norm = float(np.max(np.abs(assemble_residual(cfg, got))))
+                tol = lat.RESIDUAL_TOL * (1 + abs(P))
+                assert norm <= tol
+                assert history[-1] == norm
+                if steps is not None and steps <= 20:
+                    compared += 1
+                    halved += trials > steps
+                    assert (history[0], len(history)) == (
+                        ref_history[0], len(ref_history))
+                    assert np.max(np.abs(np.subtract(
+                        history, ref_history))) <= tol
+                    scale = 1 + float(np.max(np.abs(want.u)))
+                    assert np.max(np.abs(got.u - want.u)) <= 1e-13 * scale
+        assert compared >= 280 and halved >= 50
+
+    def test_no_field_returned_unchecked(self, params, monkeypatch):
+        # With every column of A^-1 off by a relative 1e-9, the scalar
+        # iteration converges on its own terms, but each field it forms
+        # misses row 0 by 1e-9 P.  The assembled check refuses every one,
+        # so the call ends in ConvergenceError instead of returning a field.
+        factorize = lat._factorize
+        monkeypatch.setattr(lat, "_factorize", lambda ab: (
+            lambda rhs: factorize(ab)(rhs) * (1 + 1e-9)))
+        cfg = chain_config(params, ModelKind.EXACT, 30)
+        with pytest.raises(ConvergenceError):
+            newton_solve(cfg, 1.5)
+
     def test_solution_satisfies_effective_equation(self, params):
         cfg = chain_config(params, ModelKind.EXACT, 30)
         coefs = eff.exact_coefficients(params, 30)
@@ -436,19 +584,43 @@ class TestNewton:
             newton_solve(cfg, p_max * 1.05, u_init=field)
 
     def test_one_factorization_per_call(self, params, monkeypatch):
-        # Every Newton step reuses the oracle's two columns of A^-1.
-        calls = []
-        factorize = lat._factorize
+        # The oracle, a warm-started load ramp and the residual all read the
+        # config's one chain: one assembly and one factorization in all.  An
+        # equal config built on its own assembles and factors its own chain.
+        calls = {"linear_system": 0, "_factorize": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(lat, name)):
+                calls[_name] += 1
+                return _call(*args)
 
-        def counted(ab):
-            calls.append(ab.shape)
-            return factorize(ab)
-
-        monkeypatch.setattr(lat, "_factorize", counted)
+            monkeypatch.setattr(lat, name, counted)
         cfg = chain_config(params, ModelKind.EXACT, 30)
-        _, history = newton_solve(cfg, 1.5, return_history=True)
-        assert len(history) > 3
-        assert len(calls) == 1
+        oracle_coefficients(cfg)
+        field, steps = None, 0
+        for P in (0.375, 0.75, 1.125, 1.5):
+            field, history = newton_solve(cfg, P, field, return_history=True)
+            steps += len(history) - 1
+        assemble_residual(cfg, field)
+        assert steps > 4
+        assert calls == {"linear_system": 1, "_factorize": 1}
+        twin = chain_config(params, ModelKind.EXACT, 30)
+        assert twin == cfg and twin is not cfg
+        oracle_coefficients(twin)
+        newton_solve(cfg, 1.5, field)
+        assert calls == {"linear_system": 2, "_factorize": 2}
+
+    def test_cached_chain_is_read_only(self, params):
+        # Every later solve on the config shares these arrays, so no caller
+        # may write into them; `linear_system` still builds fresh, writable
+        # ones.
+        cfg = chain_config(params, ModelKind.QQC, 30, 25)
+        ab, p_vec, w_e, w_p, _, _ = cfg.chain
+        for array in (ab, p_vec, w_e, w_p):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        fresh_ab, fresh_p = linear_system(cfg)
+        assert np.array_equal(fresh_ab, ab) and np.array_equal(fresh_p, p_vec)
+        fresh_ab[0] = fresh_p[0] = 1.0
 
     def test_bad_init_length(self, params):
         cfg = chain_config(params, ModelKind.EXACT, 30)
