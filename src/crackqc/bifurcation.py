@@ -19,8 +19,11 @@ along the physical branch.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -68,15 +71,25 @@ class FoldPoint:
 class BifurcationCurve:
     """Uniform-s samples (s, u, P, residual) of one traced curve.
 
+    `rows` holds them flat, row after row: s_0, u_0, P_0, r_0, s_1, ...,
+    as a read-only float64 memoryview of the buffer the trace filled, so
+    neither a write nor a resize can reach `samples` through it.
     `kink_splits` counts the steps split at u = u_cut; `stop` says why the
     trace ended: "s_max" (arc length reached) or "broken" (u passed
     1.1 u_cut).
     """
 
-    samples: np.ndarray
+    rows: memoryview
     h: float
     kink_splits: int = 0
     stop: str = "s_max"
+
+    @functools.cached_property
+    def samples(self) -> np.ndarray:
+        """`rows` as an (N, 4) array: a read-only view, no copy, built on
+        first use (so only callers that index it load numpy)."""
+        import numpy as np
+        return np.frombuffer(self.rows).reshape(-1, 4)
 
 
 def _cubic_roots(a2: float, a1: float, a0: float) -> List[float]:
@@ -235,7 +248,9 @@ def trace_curve(eq: EffectiveEquation, s_max: float, h: float = DEFAULT_STEP,
                 P + ds / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
 
     u, P = 0.0, 0.0
-    rows = [0.0, u, P, abs(eq.residual(u, P))]
+    rows = array("d", (0.0, u, P, abs(eq.residual(u, P))))
+    # One packed row per step: the fastest way to append four floats.
+    append, pack = rows.frombytes, struct.Struct("4d").pack
     limit = OVERSHOOT_FACTOR * c
     splits = 0
     stop = "s_max"
@@ -260,12 +275,11 @@ def trace_curve(eq: EffectiveEquation, s_max: float, h: float = DEFAULT_STEP,
         u, P = u_new, P_new
         # |g(u, P)| with the operations of EffectiveEquation.residual.
         force = 0.0 if u > c else a * u * (u - c) ** 2
-        rows += (k * h, u, P, abs(force + kappa * u + eta * P))
+        append(pack(k * h, u, P, abs(force + kappa * u + eta * P)))
         if u > limit:
             stop = "broken"
             break
-    import numpy as np  # here, so that the closed-form commands never load it
-    return BifurcationCurve(samples=np.array(rows).reshape(-1, 4), h=h,
+    return BifurcationCurve(rows=memoryview(rows).toreadonly(), h=h,
                             kink_splits=splits, stop=stop)
 
 

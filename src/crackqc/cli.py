@@ -5,8 +5,8 @@ invariant check suites.
 The commands only parse arguments and format output; what they compute
 lives in `effective`, `lattice`, `bifurcation` and `checks`.  A command
 imports only the modules it runs: `lattice` (numpy and LAPACK) only under
-`coefficients --oracle`, and `checks` only in `check` and
-`reproduce-tables`, so `validate`, `limits` and `folds` never load numpy.
+`coefficients --oracle`, `checks` only in `check` and `reproduce-tables`,
+and numpy for `compare`'s sup over two curves; no other command loads it.
 The package errors `_gate` handles live in `material`, so it catches a
 chain solver's error without importing `lattice`.
 
@@ -213,7 +213,8 @@ def cmd_limits(k1, k2, k3, ucut, as_json):
 
 def _write_curve(curve: bif.BifurcationCurve, path: Optional[Path]):
     lines = ["s,u,P,residual"]
-    for s, u, p, r in curve.samples:
+    values = iter(curve.rows)  # flat, four values to a row
+    for s, u, p, r in zip(values, values, values, values):
         lines.append(f"{_fmt(s)},{_fmt(u)},{_fmt(p)},{_fmt(r)}")
     text = "\n".join(lines) + "\n"
     if path is None:

@@ -98,7 +98,9 @@ class _Context:
     index) and cleared at INDEX_MEMO_SIZE entries; a formula that raises
     stores nothing.  The approximations depend on (n, m) only through
     n - m (n - m + 1 for QQC), so a window at a fixed gap evaluates each
-    of them once.
+    of them once.  The exact model's index runs across such a window, so
+    its index-free terms are set once, on first use (`exact_terms`, by
+    `_exact_terms`).
     """
 
     def __init__(self, params: MaterialParams, key):
@@ -110,6 +112,7 @@ class _Context:
         self.a_alpha, self.b_alpha = self.kernel.ab(self.alpha)
         self.a_1mb, self.b_1mb = self.kernel.ab(1 - self.beta)
         self.memo = {}
+        self.exact_terms = None
 
     def evaluate(self, formula, index=None):
         """formula(self, index), once per (formula, index)."""
@@ -180,11 +183,21 @@ def _cross_check(eta, eta_long):
 
 # Exact model.
 
-def _exact(ctx: _Context, n: int):
+def _exact_terms(ctx: _Context):
+    """The index-free terms of `_exact`, in its order of operations."""
     k1, k2, kbar = ctx.params.kappa1, ctx.params.kappa2, ctx.params.kappa_bar
+    ctx.exact_terms = terms = (
+        k1 + k2 * (ctx.beta + 1), k2 / kbar, ctx.beta - 2, 1 + ctx.alpha,
+        (2 * k2 / kbar) * ctx.abm1 * (ctx.kernel.c1 - 1))
+    return terms
+
+
+def _exact(ctx: _Context, n: int):
+    k2 = ctx.params.kappa2
+    base, k2_kbar, bm2, a1, cross = ctx.exact_terms or _exact_terms(ctx)
     fa, fb, chat = ctx.scaled(n, cosh=True)
     zn = ctx.kernel.pow(n)
-    kappa = ctx.abm1 * (k1 + k2 * (ctx.beta + 1) + k2 * fb / fa)
+    kappa = ctx.abm1 * (base + k2 * fb / fa)
     eta = 1 - ctx.abm1 * (chat - zn) / fa
 
     # Long form: the collapse combination plus the criss-cross determinant
@@ -192,9 +205,7 @@ def _exact(ctx: _Context, n: int):
     # variant of this route in circulation carries a constant-term error of
     # exactly kappa2 / kappa_bar; this assembled form is the consistent
     # one.)
-    eta_long = (1 + (k2 / kbar) * ((ctx.beta - 2) * fa
-                                   + (1 + ctx.alpha) * fb) / fa
-                - (2 * k2 / kbar) * ctx.abm1 * (ctx.kernel.c1 - 1) * zn / fa)
+    eta_long = 1 + k2_kbar * (bm2 * fa + a1 * fb) / fa - cross * zn / fa
     _cross_check(eta, eta_long)
     return kappa, eta
 

@@ -13,6 +13,8 @@ from crackqc.bifurcation import (BifurcationCurve, EffectiveEquation,
 from crackqc.effective import ModelKind
 from crackqc.material import ForceLaw, force_law
 
+from conftest import EDGE_TRACES
+
 REF_N = 104
 REF_M = 100
 
@@ -322,6 +324,21 @@ class TestTrace:
         # The last sample lies past 1.1 u_cut, the one before it does not.
         limit = bif.OVERSHOOT_FACTOR * exact_eq.law.u_cut
         assert broken.samples[-1, 1] > limit >= broken.samples[-2, 1]
+
+    @pytest.mark.parametrize("name", list(EDGE_TRACES))
+    def test_samples_is_a_read_only_view_of_rows(self, exact_eq, name):
+        trace, ends = EDGE_TRACES[name]
+        curve = trace(exact_eq)
+        assert (curve.stop, curve.kink_splits) == ends
+        samples = curve.samples
+        assert samples is curve.samples
+        assert samples.shape[1] == 4
+        assert len(curve.rows) == 4 * len(samples)
+        assert np.shares_memory(samples, curve.rows)
+        with pytest.raises(ValueError):
+            samples[-1, 1] = 0.0
+        with pytest.raises(TypeError):  # nor through rows
+            curve.rows[-3] = 0.0
 
     def test_rejects_bad_arguments(self, exact_eq):
         with pytest.raises(ValueError):

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 import crackqc
-from crackqc import checks
+from crackqc import bifurcation as bif
+from crackqc import checks, cli
 from crackqc import effective as eff
-from crackqc.cli import main
-from crackqc.material import validate
+from crackqc.cli import _fmt, main
+from crackqc.material import ModelKind, force_law, validate
 
-from conftest import DEPENDENCIES
+from conftest import DEPENDENCIES, EDGE_TRACES, random_params
 
 
 class _Tee(io.StringIO):
@@ -225,7 +226,33 @@ class TestLimits:
                                        data["models"][model]["eta"]]))
 
 
+def _reference_csv(curve):
+    """The CSV text `cli._write_curve` built when it read `samples`."""
+    lines = ["s,u,P,residual"]
+    for s, u, p, r in curve.samples:
+        lines.append(f"{_fmt(s)},{_fmt(u)},{_fmt(p)},{_fmt(r)}")
+    return "\n".join(lines) + "\n"
+
+
 class TestTrace:
+    def test_csv_matches_samples_writer(self, params, rng, capsys):
+        # 50 box sets x 4 models, traced until the bond breaks, and the
+        # edge traces at the reference set.
+        exact = eff.exact_coefficients(params, 104)
+        eq = bif.EffectiveEquation(force_law(params), exact.kappa, exact.eta)
+        curves = [trace(eq) for trace, _ in EDGE_TRACES.values()]
+        for _ in range(50):
+            box = random_params(rng)
+            n = int(rng.integers(20, 120))
+            m = n - int(rng.integers(3, 12))
+            for kind in ModelKind:
+                coefs = eff.coefficients(box, kind, n, m)
+                curves.append(bif.trace_curve(bif.EffectiveEquation(
+                    force_law(box), coefs.kappa, coefs.eta), 50.0, 2e-2))
+        for curve in curves:
+            cli._write_curve(curve, None)
+            assert capsys.readouterr().out == _reference_csv(curve)
+
     def test_csv_header_and_start_row(self, runner):
         result = runner.invoke(main, ["trace", "--smax", "0.002"])
         assert result.exit_code == 0

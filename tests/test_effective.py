@@ -534,6 +534,10 @@ class TestContextMemo:
         names = ["_exact", "_qc", "_qqc", "_fqc", "_exact_expansions",
                  "_qqc_expansions", "_fqc_expansions"]
         calls = self._counting(monkeypatch, names)
+        # The exact model's index-free terms are set once per context.
+        exact_terms, terms_calls = eff._exact_terms, []
+        monkeypatch.setattr(eff, "_exact_terms", lambda ctx: (
+            terms_calls.append(ctx), exact_terms(ctx))[1])
         monkeypatch.setattr(eff, "_memo", None)
         for n in range(40, 72):
             for kind in ModelKind:
@@ -541,6 +545,7 @@ class TestContextMemo:
             for kind in (ModelKind.EXACT, ModelKind.QQC, ModelKind.FQC):
                 eff.expansions(params, kind, n, n - 6)
         assert calls == dict.fromkeys(names, 1) | {"_exact": 32}
+        assert len(terms_calls) == 1
 
 
 class TestQCGammaPole:

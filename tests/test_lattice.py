@@ -196,21 +196,26 @@ CLI_COLD = {
     "compare": ["--model", "qqc", "--smax", "0.5"],
     "check": ["--seed", "0"],
 }
-# Importing the CLI, and these commands, need no numpy.
-CLOSED_FORM_COMMANDS = {None, "validate", "limits", "folds"}
+# Each case's command line, by test id.
+CLI_RUNS = {name: [name, *flags] for name, flags in CLI_COLD.items()}
+CLI_RUNS["trace-all"] = ["trace", "--model", "all", "--smax", "0.5",
+                         "--out", "curve.csv"]
+# Importing the CLI, and these cases, need no numpy.  `compare` keeps it:
+# its sup over a 33,519-row pair takes 1.1 ms in numpy, 17 ms in Python.
+NUMPY_FREE = {None, "validate", "limits", "folds", "trace", "trace-all"}
 
 
 @pytest.mark.parametrize("command",
-                         [pytest.param(None, id="import")] + list(CLI_COLD))
+                         [pytest.param(None, id="import")] + list(CLI_RUNS))
 def test_import_loads_no_sparse_or_optimize(command, tmp_path):
     # A fresh interpreter, so modules imported by other tests do not count.
     # Importing the CLI loads no scipy.  A command loads numpy only when it
-    # solves a chain or traces a curve, and LAPACK comes from scipy's
+    # solves a chain or compares curves, and LAPACK comes from scipy's
     # compiled wrapper alone, never through `scipy.linalg`.
     if command is None:
         run = "import crackqc.cli"
     else:
-        run = (f"sys.argv = {['crackqc', command] + CLI_COLD[command]!r}; "
+        run = (f"sys.argv = {['crackqc', *CLI_RUNS[command]]!r}; "
                "runpy.run_module('crackqc.cli', run_name='__main__')")
     _fresh_interpreter("import sys\n"
                        "before = sorted(sys.modules)\n"
@@ -232,9 +237,11 @@ def test_import_loads_no_sparse_or_optimize(command, tmp_path):
         assert not {m for m in loaded if m.split(".")[0] == "scipy"}
     assert not {m for m in loaded if m.startswith(
         ("scipy.linalg", "scipy.sparse", "scipy.optimize", "numpy.f2py"))}
-    assert ("numpy" in loaded) == (command not in CLOSED_FORM_COMMANDS)
-    if command in CLOSED_FORM_COMMANDS:
+    assert ("numpy" in loaded) == (command not in NUMPY_FREE)
+    if command in NUMPY_FREE:
         assert "mpmath" not in loaded
+    if command == "trace-all":
+        assert len(list(tmp_path.glob("curve_*.csv"))) == 4
 
 
 def _lapack_bits():
